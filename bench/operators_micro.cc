@@ -13,8 +13,10 @@
 //   2. The PR 10 typed-column smoke (always built, runs second): the same
 //      hot paths measured over the typed ColumnVector chunk layout vs the
 //      legacy boxed Value layout (twin databases, identical rows), plus
-//      batch join-key hashing off the typed arrays. Bit-identicality across
-//      layouts and typed-chunk engagement are HARD-GATED; results merge
+//      batch join-key hashing off the typed arrays, and the sketch_filter
+//      rows: the kernel on SketchScanPredicate output at 1, 20 and 50
+//      runs. Bit-identicality across layouts (for sketch_filter, to
+//      Expr::Eval) and typed-chunk engagement are HARD-GATED; results merge
 //      into BENCH_PR10.json.
 //
 //   3. google-benchmark per-operator scaling checks matching the
@@ -42,6 +44,7 @@
 #include "imp/inc_operators.h"
 #include "imp/inc_topk.h"
 #include "sketch/partition.h"
+#include "sketch/use_rewrite.h"
 #include "workload/synthetic.h"
 
 namespace imp {
@@ -276,6 +279,71 @@ int RunPr7Smoke() {
   return 0;
 }
 
+/// Kernel throughput on the use-rewrite's own output: SketchScanPredicate
+/// for sketches of 1, 20 and 50 runs (the first and last fragment kept in
+/// the multi-run ones) over 128 fragments of `a`, evaluated chunk by chunk
+/// on the typed and the boxed table. Every selection bitmap is HARD-GATED
+/// bit-identical to row-at-a-time Expr::Eval; no timing is gated.
+int AddSketchFilterRows(const Database& db_typed, const Database& db_boxed,
+                        int64_t max_a, bench::SeriesTable* table,
+                        bench::JsonReport* report) {
+  PartitionCatalog catalog;
+  IMP_CHECK(catalog
+                .Register(RangePartition::EquiWidthInt("t", "a", 1, 0, max_a,
+                                                       128))
+                .ok());
+  std::vector<std::pair<size_t, std::vector<size_t>>> sketches = {
+      {1, {40, 41, 42, 43, 44, 45}}, {20, {}}, {50, {}}};
+  for (size_t f = 0; f < 19 * 6; f += 6) sketches[1].second.push_back(f);
+  for (size_t f = 0; f < 49 * 2; f += 2) sketches[2].second.push_back(f);
+  sketches[1].second.push_back(127);
+  sketches[2].second.push_back(127);
+
+  auto snap_typed = db_typed.GetTable("t")->Snapshot();
+  auto snap_boxed = db_boxed.GetTable("t")->Snapshot();
+  const double rows = static_cast<double>(snap_typed->num_rows());
+  for (const auto& [runs, frags] : sketches) {
+    ProvenanceSketch sketch;
+    sketch.fragments = BitVector(catalog.total_fragments());
+    for (size_t f : frags) sketch.fragments.Set(f);
+    ExprPtr pred = SketchScanPredicate(catalog, "t", sketch);
+    PredicateKernel kernel = PredicateKernel::Compile(pred);
+    if (!kernel.fully_vectorized() || kernel.num_range_sets() != 1) {
+      return Fail10("sketch_filter: predicate is not one range-set leaf");
+    }
+    for (const auto* snap : {snap_typed.get(), snap_boxed.get()}) {
+      for (const auto& chunk : snap->chunks()) {
+        BitVector sel;
+        kernel.Eval(RowBlock::FromChunk(*chunk), &sel, nullptr, nullptr);
+        for (size_t r = 0; r < chunk->num_rows(); ++r) {
+          if (sel.Test(r) != pred->Eval(chunk->GetRow(r)).IsTrue()) {
+            return Fail10("sketch_filter: kernel differs from Expr::Eval");
+          }
+        }
+      }
+    }
+    auto filter_all = [&](const TableSnapshot& snap) {
+      size_t kept = 0;
+      for (const auto& chunk : snap.chunks()) {
+        BitVector sel;
+        kernel.Eval(RowBlock::FromChunk(*chunk), &sel, nullptr, nullptr);
+        kept += sel.Count();
+      }
+      IMP_CHECK(kept <= snap.num_rows());
+    };
+    const double t_typed = bench::MedianSeconds([&] { filter_all(*snap_typed); });
+    const double t_boxed = bench::MedianSeconds([&] { filter_all(*snap_boxed); });
+    const std::string row = "sketch_filter_runs_" + std::to_string(runs);
+    table->AddRow(row, {rows / t_boxed / 1e6, rows / t_typed / 1e6,
+                        t_boxed / t_typed});
+    report->Add("sketch_filter", "mrows_per_sec_typed_runs_" + std::to_string(runs),
+                rows / t_typed / 1e6);
+    report->Add("sketch_filter", "mrows_per_sec_boxed_runs_" + std::to_string(runs),
+                rows / t_boxed / 1e6);
+  }
+  return 0;
+}
+
 /// The PR 10 typed-column smoke: the same operators measured over the typed
 /// ColumnVector chunk layout vs the legacy boxed layout (twin databases,
 /// identical rows, vectorized kernels on in BOTH — the comparison isolates
@@ -477,6 +545,12 @@ int RunPr10Smoke() {
     report.Add("join_key_hash", "rows_per_sec_boxed", dn / t_jk_boxed);
     report.Add("join_key_hash", "rows_per_sec_typed", dn / t_jk_typed);
     report.Add("join_key_hash", "speedup", jk_speedup);
+  }
+
+  if (int rc = AddSketchFilterRows(db_typed, db_boxed,
+                                   static_cast<int64_t>(spec.num_groups) - 1,
+                                   &table, &report)) {
+    return rc;
   }
 
   table.Print();

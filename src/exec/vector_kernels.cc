@@ -1,9 +1,14 @@
 #include "exec/vector_kernels.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
+
+#include "exec/zone_filter.h"
 
 namespace imp {
 
@@ -13,26 +18,21 @@ struct KernelNode {
   enum class Kind : uint8_t {
     kConst,     // constant boolean (folded literals, null-literal compares)
     kCmp,       // column <op> literal
-    kBetween,   // literal <= column <= literal (inclusive, SQL BETWEEN)
-    kRangeSet,  // column IN union of sorted disjoint [lo, hi] ranges —
-                // the IN-partition-bucket shape of use-rewrite predicates
+    kRangeSet,  // column in a union of ranges: a single-column AND / OR /
+                // NOT / BETWEEN tree reduced by ExtractColumnRanges
     kAnd,
     kOr,
     kNot,
   };
 
-  struct Range {
-    Value lo;
-    Value hi;
-  };
-
   Kind kind;
-  bool const_val = false;        // kConst
-  BinaryOp op = BinaryOp::kEq;   // kCmp
-  size_t col = 0;                // kCmp / kBetween / kRangeSet
-  Value lit;                     // kCmp literal / kBetween lo
-  Value lit_hi;                  // kBetween hi
-  std::vector<Range> ranges;     // kRangeSet (sorted by lo, disjoint)
+  bool const_val = false;          // kConst
+  BinaryOp op = BinaryOp::kEq;     // kCmp
+  size_t col = 0;                  // kCmp / kRangeSet
+  Value lit;                       // kCmp literal
+  std::vector<ValueRange> ranges;  // kRangeSet (sorted, disjoint)
+  bool null_match = false;         // kRangeSet verdict on a NULL cell
+  bool nan_match = false;          // kRangeSet verdict on a NaN cell
   std::vector<std::unique_ptr<KernelNode>> children;  // kAnd / kOr / kNot
 };
 
@@ -81,135 +81,46 @@ NodePtr MakeCmp(BinaryOp op, size_t col, const Value& lit) {
   return n;
 }
 
-NodePtr CompileNode(const Expr& e);
-
-void FlattenSameOp(const Expr& e, BinaryOp op, std::vector<const Expr*>* out) {
-  if (e.kind() == ExprKind::kBinary) {
-    const auto& bin = static_cast<const BinaryExpr&>(e);
-    if (bin.op() == op) {
-      FlattenSameOp(*bin.left(), op, out);
-      FlattenSameOp(*bin.right(), op, out);
-      return;
-    }
-  }
-  out->push_back(&e);
-}
-
-NodePtr FoldAnd(std::vector<NodePtr> children) {
+/// Fold constant children out of an AND (`is_and`) or OR node.
+NodePtr FoldBool(std::vector<NodePtr> children, bool is_and) {
   std::vector<NodePtr> kept;
   for (NodePtr& c : children) {
     if (c->kind == KernelNode::Kind::kConst) {
-      if (!c->const_val) return MakeConst(false);
-      continue;  // TRUE conjunct is a no-op
+      if (c->const_val != is_and) return MakeConst(!is_and);  // absorbing
+      continue;  // the identity element is a no-op
     }
     kept.push_back(std::move(c));
   }
-  if (kept.empty()) return MakeConst(true);
+  if (kept.empty()) return MakeConst(is_and);
   if (kept.size() == 1) return std::move(kept[0]);
   auto n = std::make_unique<KernelNode>();
-  n->kind = KernelNode::Kind::kAnd;
+  n->kind = is_and ? KernelNode::Kind::kAnd : KernelNode::Kind::kOr;
   n->children = std::move(kept);
   return n;
 }
 
-/// Extract a [lo, hi] range when `c` tests one column against constants:
-/// `col = lit` or `col BETWEEN lo AND hi`. Empty (lo > hi) ranges were
-/// already folded to constants by the compiler.
-bool AsRange(const KernelNode& c, size_t* col, KernelNode::Range* out) {
-  if (c.kind == KernelNode::Kind::kCmp && c.op == BinaryOp::kEq) {
-    *col = c.col;
-    out->lo = c.lit;
-    out->hi = c.lit;
-    return true;
+/// One range-set leaf for a single-column subtree that reduced to `cr`,
+/// its NULL and NaN verdicts included.
+NodePtr MakeRangeSet(ColumnRanges cr) {
+  if (cr.ranges.empty() && !cr.nulls && !cr.nans) return MakeConst(false);
+  if (cr.ranges.size() == 1 && !cr.ranges[0].lo.has && !cr.ranges[0].hi.has &&
+      cr.nulls && cr.nans) {
+    return MakeConst(true);
   }
-  if (c.kind == KernelNode::Kind::kBetween) {
-    *col = c.col;
-    out->lo = c.lit;
-    out->hi = c.lit_hi;
-    return true;
-  }
-  return false;
-}
-
-NodePtr FoldOr(std::vector<NodePtr> children) {
-  std::vector<NodePtr> kept;
-  for (NodePtr& c : children) {
-    if (c->kind == KernelNode::Kind::kConst) {
-      if (c->const_val) return MakeConst(true);
-      continue;  // FALSE disjunct is a no-op
-    }
-    kept.push_back(std::move(c));
-  }
-  if (kept.empty()) return MakeConst(false);
-
-  // Fuse equality/BETWEEN disjuncts over one column into a sorted
-  // range-set probed by binary search — one search per row instead of k
-  // range tests. This is the fan-out shape the sketch use-rewrite emits
-  // (one BETWEEN per selected partition fragment).
-  std::vector<NodePtr> rest;
-  std::vector<std::pair<size_t, KernelNode::Range>> range_terms;
-  for (NodePtr& c : kept) {
-    size_t col;
-    KernelNode::Range r;
-    if (AsRange(*c, &col, &r)) {
-      range_terms.emplace_back(col, std::move(r));
-    } else {
-      rest.push_back(std::move(c));
-    }
-  }
-  // Group ranges per column; fuse columns with >= 2 ranges, keep singles.
-  std::stable_sort(range_terms.begin(), range_terms.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t i = 0; i < range_terms.size();) {
-    size_t j = i;
-    while (j < range_terms.size() && range_terms[j].first == range_terms[i].first) ++j;
-    if (j - i == 1) {
-      const KernelNode::Range& r = range_terms[i].second;
-      if (r.lo == r.hi) {
-        rest.push_back(MakeCmp(BinaryOp::kEq, range_terms[i].first, r.lo));
-      } else {
-        auto n = std::make_unique<KernelNode>();
-        n->kind = KernelNode::Kind::kBetween;
-        n->col = range_terms[i].first;
-        n->lit = r.lo;
-        n->lit_hi = r.hi;
-        rest.push_back(std::move(n));
-      }
-    } else {
-      std::vector<KernelNode::Range> ranges;
-      for (size_t k = i; k < j; ++k) ranges.push_back(std::move(range_terms[k].second));
-      std::sort(ranges.begin(), ranges.end(),
-                [](const KernelNode::Range& a, const KernelNode::Range& b) {
-                  return a.lo.Compare(b.lo) < 0;
-                });
-      // Merge overlapping [lo, hi] spans so the probe's ranges are disjoint.
-      std::vector<KernelNode::Range> merged;
-      for (KernelNode::Range& r : ranges) {
-        if (!merged.empty() && r.lo.Compare(merged.back().hi) <= 0) {
-          if (merged.back().hi.Compare(r.hi) < 0) merged.back().hi = std::move(r.hi);
-        } else {
-          merged.push_back(std::move(r));
-        }
-      }
-      auto n = std::make_unique<KernelNode>();
-      n->kind = KernelNode::Kind::kRangeSet;
-      n->col = range_terms[i].first;
-      n->ranges = std::move(merged);
-      rest.push_back(std::move(n));
-    }
-    i = j;
-  }
-
-  if (rest.size() == 1) return std::move(rest[0]);
   auto n = std::make_unique<KernelNode>();
-  n->kind = KernelNode::Kind::kOr;
-  n->children = std::move(rest);
+  n->kind = KernelNode::Kind::kRangeSet;
+  n->col = cr.col;
+  n->ranges = std::move(cr.ranges);
+  n->null_match = cr.nulls;
+  n->nan_match = cr.nans;
   return n;
 }
 
 /// Compile one (sub)expression into a kernel node, or nullptr when the
 /// shape is unsupported (column-vs-column compares, arithmetic, truthy
-/// column tests, ...): those fall back to scalar Expr::Eval.
+/// column tests, ...): those fall back to scalar Expr::Eval. Any AND / OR /
+/// NOT / BETWEEN subtree over one column becomes a single range-set leaf;
+/// a bare comparison stays a kCmp leaf.
 NodePtr CompileNode(const Expr& e) {
   switch (e.kind()) {
     case ExprKind::kLiteral:
@@ -217,17 +128,20 @@ NodePtr CompileNode(const Expr& e) {
     case ExprKind::kBinary: {
       const auto& bin = static_cast<const BinaryExpr&>(e);
       if (bin.op() == BinaryOp::kAnd || bin.op() == BinaryOp::kOr) {
-        std::vector<const Expr*> terms;
-        FlattenSameOp(e, bin.op(), &terms);
+        if (auto cr = ExtractColumnRanges(e)) {
+          return MakeRangeSet(std::move(*cr));
+        }
+        std::vector<ExprPtr> terms;
+        FlattenSameOp(bin.left(), bin.op(), &terms);
+        FlattenSameOp(bin.right(), bin.op(), &terms);
         std::vector<NodePtr> children;
         children.reserve(terms.size());
-        for (const Expr* t : terms) {
+        for (const ExprPtr& t : terms) {
           NodePtr c = CompileNode(*t);
           if (!c) return nullptr;  // a disjunct cannot be split off; punt
           children.push_back(std::move(c));
         }
-        return bin.op() == BinaryOp::kAnd ? FoldAnd(std::move(children))
-                                          : FoldOr(std::move(children));
+        return FoldBool(std::move(children), bin.op() == BinaryOp::kAnd);
       }
       if (!IsComparison(bin.op())) return nullptr;
       const Expr& l = *bin.left();
@@ -252,6 +166,7 @@ NodePtr CompileNode(const Expr& e) {
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
       if (u.op() != UnaryOp::kNot) return nullptr;
+      if (auto cr = ExtractColumnRanges(e)) return MakeRangeSet(std::move(*cr));
       NodePtr c = CompileNode(*u.child());
       if (!c) return nullptr;
       if (c->kind == KernelNode::Kind::kConst) return MakeConst(!c->const_val);
@@ -260,39 +175,12 @@ NodePtr CompileNode(const Expr& e) {
       n->children.push_back(std::move(c));
       return n;
     }
-    case ExprKind::kBetween: {
-      const auto& b = static_cast<const BetweenExpr&>(e);
-      if (b.input()->kind() != ExprKind::kColumnRef ||
-          b.lo()->kind() != ExprKind::kLiteral ||
-          b.hi()->kind() != ExprKind::kLiteral) {
-        return nullptr;
-      }
-      const Value& lo = static_cast<const LiteralExpr&>(*b.lo()).value();
-      const Value& hi = static_cast<const LiteralExpr&>(*b.hi()).value();
-      if (lo.is_null() || hi.is_null()) return MakeConst(false);
-      if (lo.Compare(hi) > 0) return MakeConst(false);  // empty range
-      auto n = std::make_unique<KernelNode>();
-      n->kind = KernelNode::Kind::kBetween;
-      n->col = static_cast<const ColumnRefExpr&>(*b.input()).index();
-      n->lit = lo;
-      n->lit_hi = hi;
-      return n;
-    }
+    case ExprKind::kBetween:
+      if (auto cr = ExtractColumnRanges(e)) return MakeRangeSet(std::move(*cr));
+      return nullptr;  // non-literal bounds or a NaN bound
     default:
       return nullptr;  // bare column refs stay scalar (truthy-value tests)
   }
-}
-
-void FlattenConjunctPtrs(const ExprPtr& expr, std::vector<ExprPtr>* out) {
-  if (expr->kind() == ExprKind::kBinary) {
-    const auto& bin = static_cast<const BinaryExpr&>(*expr);
-    if (bin.op() == BinaryOp::kAnd) {
-      FlattenConjunctPtrs(bin.left(), out);
-      FlattenConjunctPtrs(bin.right(), out);
-      return;
-    }
-  }
-  out->push_back(expr);
 }
 
 // ---- Kernel evaluation ----------------------------------------------------
@@ -330,115 +218,44 @@ void EvalCmpLoop(const KernelNode& node, size_t n, const At& at,
   }
 }
 
-template <typename At>
-void EvalBetweenLoop(const KernelNode& node, size_t n, const At& at,
-                     BitVector* out) {
-  const Value& lo = node.lit;
-  const Value& hi = node.lit_hi;
-  if (lo.is_int() && hi.is_int()) {
-    const int64_t lv = lo.AsInt(), hv = hi.AsInt();
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = at(i);
-      if (v.is_int()) {
-        const int64_t a = v.AsInt();
-        if (a >= lv && a <= hv) out->Set(i);
-      } else if (!v.is_null() && lo.Compare(v) <= 0 && v.Compare(hi) <= 0) {
-        out->Set(i);
-      }
+/// Is a value inside one of `ranges` (sorted, disjoint)? `cmp(bound)` is
+/// the sign of the value's three-way comparison against a bound. Binary
+/// search for the last range whose lower side admits the value, then one
+/// test of its upper side.
+template <typename Cmp>
+bool InRanges(const std::vector<ValueRange>& ranges, const Cmp& cmp) {
+  size_t lo = 0, hi = ranges.size();
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    const RangeBound& b = ranges[mid].lo;
+    const int c = b.has ? cmp(b.v) : 1;
+    if (c > 0 || (c == 0 && b.inclusive)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    return;
   }
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = at(i);
-    if (v.is_null()) continue;
-    if (lo.Compare(v) <= 0 && v.Compare(hi) <= 0) out->Set(i);
-  }
+  if (lo == 0) return false;
+  const RangeBound& b = ranges[lo - 1].hi;
+  if (!b.has) return true;
+  const int c = cmp(b.v);
+  return c < 0 || (c == 0 && b.inclusive);
 }
 
-/// Last range whose lo <= v (ranges are sorted and disjoint), then one
-/// upper-bound test.
-inline bool RangeSetContains(const std::vector<KernelNode::Range>& ranges,
-                             const Value& v) {
-  auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), v,
-      [](const Value& val, const KernelNode::Range& r) {
-        return val.Compare(r.lo) < 0;
-      });
-  if (it == ranges.begin()) return false;
-  --it;
-  return v.Compare(it->hi) <= 0;
-}
-
-template <typename At>
-void EvalRangeSetLoop(const KernelNode& node, size_t n, const At& at,
-                      BitVector* out) {
-  const std::vector<KernelNode::Range>& ranges = node.ranges;
-  bool all_int = true;
-  for (const KernelNode::Range& r : ranges) {
-    if (!r.lo.is_int() || !r.hi.is_int()) {
-      all_int = false;
-      break;
-    }
-  }
-  if (all_int) {
-    // The common partition-bucket shape: a small sorted set of int ranges.
-    // Unbox the bounds once per batch; a linear probe with early break
-    // beats binary search at these sizes and runs entirely on int64s.
-    std::vector<std::pair<int64_t, int64_t>> spans;
-    spans.reserve(ranges.size());
-    for (const KernelNode::Range& r : ranges) {
-      spans.emplace_back(r.lo.AsInt(), r.hi.AsInt());
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = at(i);
-      if (v.is_int()) {
-        const int64_t a = v.AsInt();
-        for (const std::pair<int64_t, int64_t>& s : spans) {
-          if (a < s.first) break;  // sorted: no later span can match
-          if (a <= s.second) {
-            out->Set(i);
-            break;
-          }
-        }
-      } else if (!v.is_null() && RangeSetContains(ranges, v)) {
-        // Mixed-type column (e.g. doubles vs int bounds): per-row generic
-        // probe, numerically identical to Value::Compare ordering.
-        out->Set(i);
-      }
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = at(i);
-    if (v.is_null()) continue;
-    if (RangeSetContains(ranges, v)) out->Set(i);
-  }
-}
-
-template <typename At>
-void EvalLeaf(const KernelNode& node, size_t n, const At& at, BitVector* out) {
-  switch (node.kind) {
-    case KernelNode::Kind::kCmp:
-      EvalCmpLoop(node, n, at, out);
-      return;
-    case KernelNode::Kind::kBetween:
-      EvalBetweenLoop(node, n, at, out);
-      return;
-    case KernelNode::Kind::kRangeSet:
-      EvalRangeSetLoop(node, n, at, out);
-      return;
-    default:
-      IMP_DCHECK(false);
-  }
+/// Range-set verdict for one boxed cell, NULL and NaN included.
+bool RangeSetMatch(const KernelNode& node, const Value& v) {
+  if (v.is_null()) return node.null_match;
+  if (v.is_double() && std::isnan(v.AsDouble())) return node.nan_match;
+  return InRanges(node.ranges, [&v](const Value& b) { return v.Compare(b); });
 }
 
 // ---- Typed columnar leaf loops --------------------------------------------
 //
 // One loop per ColumnVector encoding, each replicating the generic row
-// semantics bit-exactly: bit i is set iff the row's (reboxed) value is
-// non-NULL and the leaf holds under Value::Compare. Numeric literals are
-// classified once per batch into an exact-int compare or a promoted-double
-// compare — the two legs of Value::Compare's numeric path, including its
+// semantics bit-exactly: bit i is set iff the leaf holds for the row's
+// (reboxed) value under Value::Compare. Numeric literals are classified
+// once per batch into an exact-int compare or a promoted-double compare —
+// the two legs of Value::Compare's numeric path, including its
 // NaN-compares-equal `a < b ? -1 : (a > b ? 1 : 0)` form — and string
 // literals become a constant outcome (numbers < strings in the type-tag
 // order).
@@ -465,25 +282,6 @@ NumLit ClassifyNumLit(bool int_column, const Value& lit) {
   m.cls = NumLit::Cls::kDbl;
   m.dv = lit.is_int() ? static_cast<double>(lit.AsInt()) : lit.AsDouble();
   return m;
-}
-
-inline int CmpRaw(int64_t a, const NumLit& m) {
-  switch (m.cls) {
-    case NumLit::Cls::kInt:
-      return a < m.iv ? -1 : (a > m.iv ? 1 : 0);
-    case NumLit::Cls::kDbl: {
-      const double ad = static_cast<double>(a);
-      return ad < m.dv ? -1 : (ad > m.dv ? 1 : 0);
-    }
-    default:
-      return m.cc;
-  }
-}
-
-inline int CmpRaw(double a, const NumLit& m) {
-  // Int literals were promoted into kDbl for double columns.
-  if (m.cls == NumLit::Cls::kDbl) return a < m.dv ? -1 : (a > m.dv ? 1 : 0);
-  return m.cc;
 }
 
 /// Invoke fn(i, vals[i]) for every non-NULL row of a typed numeric column.
@@ -535,166 +333,256 @@ inline void OrVerdictWords(size_t n, const T* vals, const ColumnVector& cv,
   }
 }
 
+/// The range set as inclusive [lo, hi] spans of the column's own payload
+/// type, sorted and disjoint: exclusive sides step to the adjacent value,
+/// unbounded sides become the type's extremes, and string bounds lie above
+/// every number. False when a bound has no exact counterpart in T (a
+/// double bound against an int column); the caller then probes boxed.
+template <typename T>
+bool TypedSpans(const std::vector<ValueRange>& ranges, std::vector<T>* lo,
+                std::vector<T>* hi) {
+  constexpr bool kInt = std::is_same_v<T, int64_t>;
+  constexpr T kMin = kInt ? std::numeric_limits<T>::min()
+                          : -std::numeric_limits<T>::infinity();
+  constexpr T kMax = kInt ? std::numeric_limits<T>::max()
+                          : std::numeric_limits<T>::infinity();
+  auto number = [](const Value& v) -> T {
+    if constexpr (kInt) {
+      return v.AsInt();
+    } else {
+      return v.ToDouble();
+    }
+  };
+  for (const ValueRange& r : ranges) {
+    T l = kMin, h = kMax;
+    if (r.lo.has) {
+      if (r.lo.v.is_string()) break;  // this and every later range
+      if (kInt && !r.lo.v.is_int()) return false;
+      l = number(r.lo.v);
+      if (!r.lo.inclusive) {
+        if (l == kMax) continue;
+        l = kInt ? l + 1 : std::nextafter(l, kMax);
+      }
+    }
+    if (r.hi.has && !r.hi.v.is_string()) {
+      if (kInt && !r.hi.v.is_int()) return false;
+      h = number(r.hi.v);
+      if (!r.hi.inclusive) {
+        if (h == kMin) continue;
+        h = kInt ? h - 1 : std::nextafter(h, kMin);
+      }
+    }
+    if (l > h) continue;
+    lo->push_back(l);
+    hi->push_back(h);
+  }
+  return true;
+}
+
+/// The column's zone [min, max] in its payload type, NaN cells left out;
+/// false when the column holds no non-NULL, non-NaN cell.
+template <typename T>
+bool TypedZone(const ColumnVector& cv, T* mn, T* mx) {
+  Value a, b;
+  if (!cv.MinMax(&a, &b)) return false;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    *mn = a.AsInt();
+    *mx = b.AsInt();
+  } else {
+    *mn = a.AsDouble();
+    *mx = b.AsDouble();
+  }
+  return true;
+}
+
+/// Is `a` inside one of k >= 1 sorted, disjoint [lo, hi] spans? A
+/// branchless binary search (its trip count depends on k only) finds the
+/// last span whose lo <= a, then one test of its hi. False for NaN.
+template <typename T>
+inline bool InSpans(const T* lo, const T* hi, size_t k, T a) {
+  const T* base = lo;
+  for (size_t len = k; len > 1;) {
+    const size_t half = len / 2;
+    base = base[half] <= a ? base + half : base;
+    len -= half;
+  }
+  return (*base <= a) & (a <= hi[base - lo]);
+}
+
+/// Range-set leaf over boxed cells (row-major blocks, boxed-fallback
+/// columns). The spans convert to int64 once per batch, so int cells
+/// compare in-register through InSpans; other cells, and every cell when a
+/// bound has no exact int counterpart, take the boxed probe.
+template <typename At>
+void EvalRangeSetBoxed(const KernelNode& node, size_t n, const At& at,
+                       BitVector* out) {
+  std::vector<int64_t> lo, hi;
+  const bool int_spans = TypedSpans(node.ranges, &lo, &hi);
+  const size_t k = lo.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Value& v = at(i);
+    const bool match =
+        int_spans && v.is_int()
+            ? k > 0 && InSpans(lo.data(), hi.data(), k, v.AsInt())
+            : RangeSetMatch(node, v);
+    if (match) out->Set(i);
+  }
+}
+
+template <typename At>
+void EvalLeaf(const KernelNode& node, size_t n, const At& at, BitVector* out) {
+  switch (node.kind) {
+    case KernelNode::Kind::kCmp:
+      EvalCmpLoop(node, n, at, out);
+      return;
+    case KernelNode::Kind::kRangeSet:
+      EvalRangeSetBoxed(node, n, at, out);
+      return;
+    default:
+      IMP_DCHECK(false);
+  }
+}
+
+/// Range-set leaf over a typed numeric column, at a cost that follows the
+/// spans the chunk can hold. The spans are clipped to the chunk's zone
+/// first: when none is left no number matches, and when one covers the
+/// whole zone every number does — neither compares a row against a bound.
+/// Up to two surviving spans are swept one after the other; more are
+/// probed per row by InSpans, O(rows * log spans). NaN cells lie in no
+/// span and take the compiled NaN verdict.
+template <typename T>
+void EvalRangeSetNumeric(const KernelNode& node, size_t n, const T* vals,
+                         const ColumnVector& cv, BitVector* out) {
+  constexpr bool kInt = std::is_same_v<T, int64_t>;
+  std::vector<T> lo, hi;
+  if (!TypedSpans(node.ranges, &lo, &hi)) {
+    ForEachNonNull(n, vals, cv, [&](size_t i, T a) {
+      if constexpr (kInt) {
+        if (RangeSetMatch(node, Value::Int(a))) out->Set(i);
+      }
+    });
+    return;
+  }
+  const T* l = lo.data();
+  const T* h = hi.data();
+  size_t k = lo.size();
+  bool covers_zone = false;
+  T mn = 0, mx = 0;
+  if (TypedZone(cv, &mn, &mx)) {
+    const size_t b = std::lower_bound(hi.begin(), hi.end(), mn) - hi.begin();
+    const size_t e = std::upper_bound(lo.begin(), lo.end(), mx) - lo.begin();
+    l += b;
+    h += b;
+    k = e > b ? e - b : 0;
+    covers_zone = k == 1 && l[0] <= mn && h[0] >= mx;
+  }
+  const bool nan = !kInt && node.nan_match;
+  if (covers_zone) {
+    if (nan || kInt) {
+      OrVerdictWords(n, vals, cv, out, [](T) { return true; });
+    } else {
+      OrVerdictWords(n, vals, cv, out, [](T a) { return a == a; });
+    }
+    return;
+  }
+  if (k <= 2) {
+    for (size_t s = 0; s < k; ++s) {
+      const T sl = l[s], sh = h[s];
+      OrVerdictWords(n, vals, cv, out,
+                     [sl, sh](T a) { return a >= sl && a <= sh; });
+    }
+    if (nan) OrVerdictWords(n, vals, cv, out, [](T a) { return a != a; });
+    return;
+  }
+  OrVerdictWords(n, vals, cv, out, [l, h, k, nan](T a) {
+    return InSpans(l, h, k, a) | (nan & (a != a));
+  });
+}
+
 template <typename T>
 void EvalLeafNumeric(const KernelNode& node, size_t n, const T* vals,
                      const ColumnVector& cv, BitVector* out) {
+  if (node.kind == KernelNode::Kind::kRangeSet) {
+    EvalRangeSetNumeric(node, n, vals, cv, out);
+    return;
+  }
+  IMP_DCHECK(node.kind == KernelNode::Kind::kCmp);
   constexpr bool kIntCol = std::is_same_v<T, int64_t>;
-  switch (node.kind) {
-    case KernelNode::Kind::kCmp: {
-      const NumLit m = ClassifyNumLit(kIntCol, node.lit);
-      const BinaryOp op = node.op;
-      if (m.cls == NumLit::Cls::kInt) {
-        // The dominant shape: unboxed int64 exact compare vs an int
-        // literal, one branchless sweep per op.
-        const int64_t lv = m.iv;
-        switch (op) {
-          case BinaryOp::kEq:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a == lv; });
-            return;
-          case BinaryOp::kNe:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a != lv; });
-            return;
-          case BinaryOp::kLt:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a < lv; });
-            return;
-          case BinaryOp::kLe:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a <= lv; });
-            return;
-          case BinaryOp::kGt:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a > lv; });
-            return;
-          case BinaryOp::kGe:
-            OrVerdictWords(n, vals, cv, out, [lv](T a) { return a >= lv; });
-            return;
-          default:
-            return;  // only comparisons compile to kCmp
-        }
-      }
-      if (m.cls == NumLit::Cls::kDbl) {
-        // Value::Compare's promoted-double three-way treats NaN as equal
-        // to everything (`a < b ? -1 : (a > b ? 1 : 0)`), so each op is
-        // phrased through !(a < lit) / !(a > lit), never operator==.
-        const double dv = m.dv;
-        switch (op) {
-          case BinaryOp::kEq:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              const double ad = static_cast<double>(a);
-              return !(ad < dv) && !(ad > dv);
-            });
-            return;
-          case BinaryOp::kNe:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              const double ad = static_cast<double>(a);
-              return (ad < dv) || (ad > dv);
-            });
-            return;
-          case BinaryOp::kLt:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              return static_cast<double>(a) < dv;
-            });
-            return;
-          case BinaryOp::kLe:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              return !(static_cast<double>(a) > dv);
-            });
-            return;
-          case BinaryOp::kGt:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              return static_cast<double>(a) > dv;
-            });
-            return;
-          case BinaryOp::kGe:
-            OrVerdictWords(n, vals, cv, out, [dv](T a) {
-              return !(static_cast<double>(a) < dv);
-            });
-            return;
-          default:
-            return;
-        }
-      }
-      // kConst: the type-tag order fixes one outcome for the whole batch —
-      // every non-NULL row matches, or none does.
-      if (ApplyCmp(op, m.cc)) {
-        OrVerdictWords(n, vals, cv, out, [](T) { return true; });
-      }
-      return;
-    }
-    case KernelNode::Kind::kBetween: {
-      const NumLit lo = ClassifyNumLit(kIntCol, node.lit);
-      const NumLit hi = ClassifyNumLit(kIntCol, node.lit_hi);
-      if (lo.cls == NumLit::Cls::kInt && hi.cls == NumLit::Cls::kInt) {
-        const int64_t lv = lo.iv, hv = hi.iv;
-        OrVerdictWords(n, vals, cv, out,
-                       [lv, hv](T a) { return a >= lv && a <= hv; });
+  const NumLit m = ClassifyNumLit(kIntCol, node.lit);
+  const BinaryOp op = node.op;
+  if (m.cls == NumLit::Cls::kInt) {
+    // The dominant shape: unboxed int64 exact compare vs an int
+    // literal, one branchless sweep per op.
+    const int64_t lv = m.iv;
+    switch (op) {
+      case BinaryOp::kEq:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a == lv; });
         return;
-      }
-      if (lo.cls == NumLit::Cls::kDbl && hi.cls == NumLit::Cls::kDbl) {
-        // NaN-as-equal three-way: in-range is !(a < lo) && !(a > hi).
-        const double lv = lo.dv, hv = hi.dv;
-        OrVerdictWords(n, vals, cv, out, [lv, hv](T a) {
+      case BinaryOp::kNe:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a != lv; });
+        return;
+      case BinaryOp::kLt:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a < lv; });
+        return;
+      case BinaryOp::kLe:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a <= lv; });
+        return;
+      case BinaryOp::kGt:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a > lv; });
+        return;
+      case BinaryOp::kGe:
+        OrVerdictWords(n, vals, cv, out, [lv](T a) { return a >= lv; });
+        return;
+      default:
+        return;  // only comparisons compile to kCmp
+    }
+  }
+  if (m.cls == NumLit::Cls::kDbl) {
+    // Value::Compare's promoted-double three-way treats NaN as equal
+    // to everything (`a < b ? -1 : (a > b ? 1 : 0)`), so each op is
+    // phrased through !(a < lit) / !(a > lit), never operator==.
+    const double dv = m.dv;
+    switch (op) {
+      case BinaryOp::kEq:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
           const double ad = static_cast<double>(a);
-          return !(ad < lv) && !(ad > hv);
+          return !(ad < dv) && !(ad > dv);
         });
         return;
-      }
-      // BETWEEN row semantics are lo.Compare(v) <= 0 && v.Compare(hi) <= 0,
-      // and Compare's NaN-as-equal form makes both orientations agree, so
-      // the v-side three-way is exact.
-      ForEachNonNull(n, vals, cv, [&](size_t i, T a) {
-        if (CmpRaw(a, lo) >= 0 && CmpRaw(a, hi) <= 0) out->Set(i);
-      });
-      return;
-    }
-    case KernelNode::Kind::kRangeSet: {
-      std::vector<std::pair<NumLit, NumLit>> spans;
-      spans.reserve(node.ranges.size());
-      bool all_int = true, all_dbl = true;
-      for (const KernelNode::Range& r : node.ranges) {
-        spans.emplace_back(ClassifyNumLit(kIntCol, r.lo),
-                           ClassifyNumLit(kIntCol, r.hi));
-        all_int = all_int && spans.back().first.cls == NumLit::Cls::kInt &&
-                  spans.back().second.cls == NumLit::Cls::kInt;
-        all_dbl = all_dbl && spans.back().first.cls == NumLit::Cls::kDbl &&
-                  spans.back().second.cls == NumLit::Cls::kDbl;
-      }
-      if (all_int) {
-        // Span-major branchless sweeps: the spans are lo-sorted and
-        // disjoint, so at most one can match a given value and OR-ing one
-        // verdict word per span equals the early-break probe exactly.
-        for (const auto& s : spans) {
-          const int64_t lv = s.first.iv, hv = s.second.iv;
-          OrVerdictWords(n, vals, cv, out,
-                         [lv, hv](T a) { return a >= lv && a <= hv; });
-        }
+      case BinaryOp::kNe:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
+          const double ad = static_cast<double>(a);
+          return (ad < dv) || (ad > dv);
+        });
         return;
-      }
-      if (all_dbl) {
-        // NaN-as-equal: NaN is "in" every span under the three-way form,
-        // matching the probe's CmpRaw verdicts (OR keeps that identical).
-        for (const auto& s : spans) {
-          const double lv = s.first.dv, hv = s.second.dv;
-          OrVerdictWords(n, vals, cv, out, [lv, hv](T a) {
-            const double ad = static_cast<double>(a);
-            return !(ad < lv) && !(ad > hv);
-          });
-        }
+      case BinaryOp::kLt:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
+          return static_cast<double>(a) < dv;
+        });
         return;
-      }
-      // Ranges are lo-sorted and disjoint, so a linear probe with early
-      // break matches the generic upper_bound probe exactly.
-      ForEachNonNull(n, vals, cv, [&](size_t i, T a) {
-        for (const auto& s : spans) {
-          if (CmpRaw(a, s.first) < 0) break;
-          if (CmpRaw(a, s.second) <= 0) {
-            out->Set(i);
-            break;
-          }
-        }
-      });
-      return;
+      case BinaryOp::kLe:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
+          return !(static_cast<double>(a) > dv);
+        });
+        return;
+      case BinaryOp::kGt:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
+          return static_cast<double>(a) > dv;
+        });
+        return;
+      case BinaryOp::kGe:
+        OrVerdictWords(n, vals, cv, out, [dv](T a) {
+          return !(static_cast<double>(a) < dv);
+        });
+        return;
+      default:
+        return;
     }
-    default:
-      IMP_DCHECK(false);
+  }
+  // kConst: the type-tag order fixes one outcome for the whole batch —
+  // every non-NULL row matches, or none does.
+  if (ApplyCmp(op, m.cc)) {
+    OrVerdictWords(n, vals, cv, out, [](T) { return true; });
   }
 }
 
@@ -708,21 +596,12 @@ inline int CmpStrLit(std::string_view v, const Value& lit) {
 
 /// Leaf verdict for one non-NULL string cell (dict-distinct or flat row).
 bool LeafMatchString(const KernelNode& node, std::string_view v) {
-  switch (node.kind) {
-    case KernelNode::Kind::kCmp:
-      return ApplyCmp(node.op, CmpStrLit(v, node.lit));
-    case KernelNode::Kind::kBetween:
-      return CmpStrLit(v, node.lit) >= 0 && CmpStrLit(v, node.lit_hi) <= 0;
-    case KernelNode::Kind::kRangeSet:
-      for (const KernelNode::Range& r : node.ranges) {
-        if (CmpStrLit(v, r.lo) < 0) break;
-        if (CmpStrLit(v, r.hi) <= 0) return true;
-      }
-      return false;
-    default:
-      IMP_DCHECK(false);
-      return false;
+  if (node.kind == KernelNode::Kind::kRangeSet) {
+    return InRanges(node.ranges,
+                    [v](const Value& b) { return CmpStrLit(v, b); });
   }
+  IMP_DCHECK(node.kind == KernelNode::Kind::kCmp);
+  return ApplyCmp(node.op, CmpStrLit(v, node.lit));
 }
 
 void EvalLeafDict(const KernelNode& node, size_t n, const ColumnVector& cv,
@@ -749,6 +628,13 @@ void EvalLeafDict(const KernelNode& node, size_t n, const ColumnVector& cv,
 
 void EvalLeafColumnar(const KernelNode& node, size_t n, const ColumnVector& cv,
                       BitVector* out) {
+  // The typed loops below skip NULL cells; a range set that admits NULL
+  // (a NOT above its comparisons) takes them from the null bitmap, which
+  // every typed encoding keeps, the untyped all-NULL one included.
+  if (node.kind == KernelNode::Kind::kRangeSet && node.null_match &&
+      cv.has_nulls()) {
+    out->UnionWith(cv.nulls());
+  }
   switch (cv.encoding()) {
     case ColumnVector::Encoding::kBoxed: {
       const Value* col = cv.boxed().data();
@@ -757,7 +643,7 @@ void EvalLeafColumnar(const KernelNode& node, size_t n, const ColumnVector& cv,
       return;
     }
     case ColumnVector::Encoding::kUntyped:
-      return;  // every cell is NULL: no comparison can hold
+      return;  // every cell is NULL: handled above
     case ColumnVector::Encoding::kInt64:
       EvalLeafNumeric(node, n, cv.ints(), cv, out);
       return;
@@ -846,8 +732,28 @@ PredicateKernel PredicateKernel::Compile(const ExprPtr& expr) {
 
   // Split the top-level conjunction: compiled conjuncts run as kernels,
   // the rest re-conjoin into a scalar remainder evaluated on survivors.
+  // Conjuncts that reduce to ranges over the same column are re-joined
+  // first, so they compile to one range-set leaf (a scan filter on the
+  // partition column and the sketch's ranges, or the two sides of a
+  // single `lo <= a < hi` run).
   std::vector<ExprPtr> conjuncts;
-  FlattenConjunctPtrs(expr, &conjuncts);
+  std::vector<std::pair<size_t, size_t>> range_slots;  // column -> conjunct
+  std::vector<ExprPtr> flat;
+  FlattenSameOp(expr, BinaryOp::kAnd, &flat);
+  for (ExprPtr& c : flat) {
+    std::optional<ColumnRanges> cr = ExtractColumnRanges(*c);
+    if (cr) {
+      auto slot = std::find_if(range_slots.begin(), range_slots.end(),
+                               [&](const auto& s) { return s.first == cr->col; });
+      if (slot != range_slots.end()) {
+        ExprPtr& joined = conjuncts[slot->second];
+        joined = MakeBinary(BinaryOp::kAnd, joined, std::move(c));
+        continue;
+      }
+      range_slots.emplace_back(cr->col, conjuncts.size());
+    }
+    conjuncts.push_back(std::move(c));
+  }
   std::vector<NodePtr> compiled;
   std::vector<ExprPtr> residual;
   for (const ExprPtr& c : conjuncts) {
@@ -858,7 +764,7 @@ PredicateKernel PredicateKernel::Compile(const ExprPtr& expr) {
       residual.push_back(c);
     }
   }
-  if (!compiled.empty()) k.root_ = FoldAnd(std::move(compiled));
+  if (!compiled.empty()) k.root_ = FoldBool(std::move(compiled), true);
   if (!residual.empty()) {
     k.scalar_ = residual.size() == 1 ? residual[0]
                                      : MakeConjunction(std::move(residual));
@@ -870,6 +776,35 @@ PredicateKernel PredicateKernel::Compile(const ExprPtr& expr) {
     k.scalar_cols_ = std::move(cols);
   }
   return k;
+}
+
+namespace {
+size_t CountLeaves(const KernelNode* node, bool range_sets_only) {
+  if (node == nullptr) return 0;
+  switch (node->kind) {
+    case KernelNode::Kind::kConst:
+      return 0;
+    case KernelNode::Kind::kCmp:
+      return range_sets_only ? 0 : 1;
+    case KernelNode::Kind::kRangeSet:
+      return 1;
+    default: {
+      size_t leaves = 0;
+      for (const NodePtr& c : node->children) {
+        leaves += CountLeaves(c.get(), range_sets_only);
+      }
+      return leaves;
+    }
+  }
+}
+}  // namespace
+
+size_t PredicateKernel::num_leaves() const {
+  return CountLeaves(root_.get(), false);
+}
+
+size_t PredicateKernel::num_range_sets() const {
+  return CountLeaves(root_.get(), true);
 }
 
 void PredicateKernel::Eval(const RowBlock& block, BitVector* sel,

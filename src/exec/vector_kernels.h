@@ -94,11 +94,27 @@ class RowBlock {
 struct KernelNode;  // enum-dispatched compiled tree (internal to the .cc)
 
 /// A bound predicate compiled for batch evaluation. Compile() splits the
-/// top-level conjunction into a vectorizable part (comparisons and BETWEEN
-/// against literals, AND/OR/NOT combinations, and OR-of-ranges over one
-/// column fused into a sorted range-set probe — the IN-partition-bucket
-/// shape the sketch use-rewrite emits) and a scalar remainder evaluated
-/// through Expr::Eval on surviving rows only.
+/// top-level conjunction into a vectorizable part and a scalar remainder
+/// evaluated through Expr::Eval on surviving rows only.
+///
+/// The vectorizable part is a tree of AND / OR / NOT over two leaf kinds:
+/// a bare `column <op> literal` comparison, and a range set. Every AND /
+/// OR / NOT / BETWEEN subtree over ONE column against literals — at any
+/// depth, and the top-level conjuncts on one column taken together — is
+/// reduced by ExtractColumnRanges (exec/zone_filter.h, the engine's only
+/// range reducer) to normalized ranges with inclusive, exclusive or
+/// unbounded sides, and compiles to a single range-set leaf. That covers
+/// the sketch use-rewrite's fragment runs, edge runs that are unbounded
+/// and admit NULL included (sketch/use_rewrite.h). The leaf takes its
+/// NULL and NaN verdicts from the same reduction, so it stays exact where
+/// the value order is not total.
+///
+/// On a typed numeric chunk column a range set costs what the chunk can
+/// keep, not what the sketch spans: its spans are first clipped to the
+/// column's zone [min, max] — no span left means no row compares, one span
+/// covering the zone means every non-NULL row matches without a compare —
+/// then up to two survivors are swept branch-free and more are probed by a
+/// branchless binary search, O(rows * log spans).
 class PredicateKernel {
  public:
   PredicateKernel();
@@ -117,6 +133,10 @@ class PredicateKernel {
   bool fully_vectorized() const { return root_ != nullptr && !scalar_; }
   /// The scalar remainder (null when fully vectorized or no predicate).
   const ExprPtr& scalar_remainder() const { return scalar_; }
+  /// Leaves of the compiled part (comparisons and range sets), and how
+  /// many of them are range sets — the compiled shape, for tests.
+  size_t num_leaves() const;
+  size_t num_range_sets() const;
 
   /// Evaluate the full predicate over `block`: `*sel` becomes a bitvector
   /// of exactly block.num_rows() bits with bit i == expr->Eval(row_i)

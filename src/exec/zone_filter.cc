@@ -1,16 +1,44 @@
 #include "exec/zone_filter.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace imp {
 
 namespace {
 
+/// Does the three-way outcome `c` of `cell.Compare(lit)` satisfy `op`?
+bool CmpHolds(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq: return c == 0;
+    case BinaryOp::kNe: return c != 0;
+    case BinaryOp::kLt: return c < 0;
+    case BinaryOp::kLe: return c <= 0;
+    case BinaryOp::kGt: return c > 0;
+    case BinaryOp::kGe: return c >= 0;
+    default: return false;
+  }
+}
+
+/// Value::Compare of a NaN cell against `lit`: 0 against every number (so
+/// =, <=, >= and BETWEEN hold), the type-tag order against a string.
+int NaNCompare(const Value& lit) {
+  return Value::Double(std::numeric_limits<double>::quiet_NaN()).Compare(lit);
+}
+
+/// Does `cell BETWEEN lo AND hi` hold on a NaN cell (non-NULL bounds)?
+bool NaNBetween(const Value& lo, const Value& hi) {
+  return NaNCompare(lo) >= 0 && NaNCompare(hi) <= 0;
+}
+
 /// May a comparison `col op lit` hold for some row, given the column's
-/// zone entry?
+/// zone entry? A NaN cell lies outside [min, max], so it is judged apart.
 bool ComparisonMayMatch(BinaryOp op, const DataChunk::ZoneEntry& z,
                         const Value& lit) {
-  if (!z.valid || lit.is_null()) return false;  // all-null column / NULL lit
+  if (lit.is_null()) return false;  // NULL literal: false everywhere
+  if (z.nan && CmpHolds(op, NaNCompare(lit))) return true;
+  if (!z.valid) return false;  // no non-NULL, non-NaN value
   switch (op) {
     case BinaryOp::kLt:
       return z.min < lit;
@@ -86,9 +114,11 @@ bool ChunkMayMatch(const Expr& predicate, const DataChunk& chunk) {
       size_t col = static_cast<const ColumnRefExpr&>(*bt.input()).index();
       if (col >= chunk.num_columns()) return true;
       const auto& z = chunk.zone(col);
-      if (!z.valid) return false;
       const Value& lo = static_cast<const LiteralExpr&>(*bt.lo()).value();
       const Value& hi = static_cast<const LiteralExpr&>(*bt.hi()).value();
+      if (lo.is_null() || hi.is_null()) return false;
+      if (z.nan && NaNBetween(lo, hi)) return true;
+      if (!z.valid) return false;
       return !(z.max < lo || hi < z.min);
     }
     default:
@@ -161,13 +191,32 @@ void NormalizeRanges(std::vector<ValueRange>* ranges) {
   *ranges = std::move(merged);
 }
 
+/// The gaps of a normalized union: its complement over non-NULL values.
+std::vector<ValueRange> Complement(const std::vector<ValueRange>& ranges) {
+  std::vector<ValueRange> out;
+  RangeBound from;  // unbounded below until the first range
+  for (const ValueRange& r : ranges) {
+    if (r.lo.has) out.push_back({from, {true, r.lo.v, !r.lo.inclusive}});
+    if (!r.hi.has) return out;  // the range runs to +inf: no gap after it
+    from = {true, r.hi.v, !r.hi.inclusive};
+  }
+  out.push_back({from, RangeBound{}});
+  return out;
+}
+
+bool IsNaN(const Value& v) { return v.is_double() && std::isnan(v.AsDouble()); }
+
 /// Ranges of `col cmp lit` under Expr::Eval semantics (NULL literal → no
-/// row matches; != splits into two open-ended intervals).
+/// row matches; != splits into two open-ended intervals), with the verdict
+/// on a NaN cell. A NaN literal compares equal to every number, which no
+/// interval describes: nullopt.
 std::optional<ColumnRanges> ComparisonRanges(size_t col, BinaryOp cmp,
                                              const Value& lit) {
+  if (IsNaN(lit)) return std::nullopt;
   ColumnRanges out;
   out.col = col;
   if (lit.is_null()) return out;  // NULL comparand: false everywhere
+  out.nans = CmpHolds(cmp, NaNCompare(lit));
   ValueRange r;
   switch (cmp) {
     case BinaryOp::kEq:
@@ -207,25 +256,39 @@ std::optional<ColumnRanges> ExtractColumnRanges(const Expr& predicate) {
     case ExprKind::kBinary: {
       const auto& bin = static_cast<const BinaryExpr&>(predicate);
       if (bin.op() == BinaryOp::kAnd || bin.op() == BinaryOp::kOr) {
-        auto l = ExtractColumnRanges(*bin.left());
-        auto r = ExtractColumnRanges(*bin.right());
-        if (!l || !r || l->col != r->col) return std::nullopt;
-        if (bin.op() == BinaryOp::kOr) {
-          l->ranges.insert(l->ranges.end(),
-                           std::make_move_iterator(r->ranges.begin()),
-                           std::make_move_iterator(r->ranges.end()));
-        } else {
-          std::vector<ValueRange> intersected;
-          for (const ValueRange& a : l->ranges) {
-            for (const ValueRange& b : r->ranges) {
-              ValueRange x;
-              if (Intersect(a, b, &x)) intersected.push_back(std::move(x));
+        // Flatten the whole same-op chain first so a k-way disjunction
+        // normalizes once, not once per nesting level.
+        std::vector<ExprPtr> terms;
+        FlattenSameOp(bin.left(), bin.op(), &terms);
+        FlattenSameOp(bin.right(), bin.op(), &terms);
+        std::optional<ColumnRanges> acc;
+        for (const ExprPtr& t : terms) {
+          std::optional<ColumnRanges> r = ExtractColumnRanges(*t);
+          if (!r || (acc && r->col != acc->col)) return std::nullopt;
+          if (!acc) {
+            acc = std::move(r);
+          } else if (bin.op() == BinaryOp::kOr) {
+            acc->ranges.insert(acc->ranges.end(),
+                               std::make_move_iterator(r->ranges.begin()),
+                               std::make_move_iterator(r->ranges.end()));
+            acc->nulls = acc->nulls || r->nulls;
+            acc->nans = acc->nans || r->nans;
+          } else {
+            // Pairwise intersections of two disjoint unions stay disjoint.
+            std::vector<ValueRange> intersected;
+            for (const ValueRange& a : acc->ranges) {
+              for (const ValueRange& b : r->ranges) {
+                ValueRange x;
+                if (Intersect(a, b, &x)) intersected.push_back(std::move(x));
+              }
             }
+            acc->ranges = std::move(intersected);
+            acc->nulls = acc->nulls && r->nulls;
+            acc->nans = acc->nans && r->nans;
           }
-          l->ranges = std::move(intersected);
         }
-        NormalizeRanges(&l->ranges);
-        return l;
+        NormalizeRanges(&acc->ranges);
+        return acc;
       }
       if (!IsComparison(bin.op())) return std::nullopt;
       if (bin.left()->kind() == ExprKind::kColumnRef &&
@@ -243,6 +306,18 @@ std::optional<ColumnRanges> ExtractColumnRanges(const Expr& predicate) {
       }
       return std::nullopt;
     }
+    case ExprKind::kUnary: {
+      const auto& u = static_cast<const UnaryExpr&>(predicate);
+      if (u.op() != UnaryOp::kNot) return std::nullopt;
+      std::optional<ColumnRanges> r = ExtractColumnRanges(*u.child());
+      if (!r) return std::nullopt;
+      // Comparisons are two-valued (false on NULL), so NOT is the exact
+      // complement: the gaps between the ranges, and NULL and NaN flip.
+      r->ranges = Complement(r->ranges);
+      r->nulls = !r->nulls;
+      r->nans = !r->nans;
+      return r;
+    }
     case ExprKind::kBetween: {
       const auto& bt = static_cast<const BetweenExpr&>(predicate);
       if (bt.input()->kind() != ExprKind::kColumnRef ||
@@ -250,11 +325,13 @@ std::optional<ColumnRanges> ExtractColumnRanges(const Expr& predicate) {
           bt.hi()->kind() != ExprKind::kLiteral) {
         return std::nullopt;
       }
-      ColumnRanges out;
-      out.col = static_cast<const ColumnRefExpr&>(*bt.input()).index();
       const Value& lo = static_cast<const LiteralExpr&>(*bt.lo()).value();
       const Value& hi = static_cast<const LiteralExpr&>(*bt.hi()).value();
+      if (IsNaN(lo) || IsNaN(hi)) return std::nullopt;
+      ColumnRanges out;
+      out.col = static_cast<const ColumnRefExpr&>(*bt.input()).index();
       if (lo.is_null() || hi.is_null()) return out;  // false everywhere
+      out.nans = NaNBetween(lo, hi);
       ValueRange r;
       r.lo = {true, lo, true};
       r.hi = {true, hi, true};
@@ -269,9 +346,12 @@ std::optional<ColumnRanges> ExtractColumnRanges(const Expr& predicate) {
 
 bool ChunkMayMatchRanges(const ColumnRanges& ranges, const DataChunk& chunk) {
   if (ranges.col >= chunk.num_columns()) return true;
+  const ColumnVector& column = chunk.column(ranges.col);
+  if (ranges.nulls && column.AnyNull()) return true;
+  if (ranges.nans && column.AnyNaN()) return true;
   if (ranges.ranges.empty()) return false;  // unsatisfiable predicate
   const DataChunk::ZoneEntry& z = chunk.zone(ranges.col);
-  if (!z.valid) return false;  // all-NULL column: no range matches
+  if (!z.valid) return false;  // only NULL / NaN cells: no range matches
   bool zone_may = false;
   for (const ValueRange& r : ranges.ranges) {
     bool ends_below_min = false;
@@ -309,6 +389,15 @@ bool TryIndexRangeScan(const TableSnapshot& snap, const ColumnRanges& ranges,
                        std::vector<TableSnapshot::RowLoc>* locs) {
   if (ranges.col >= snap.schema().size()) return false;
   if (!build_if_missing && !snap.HasRangeIndex(ranges.col)) return false;
+  if (ranges.nulls || ranges.nans) {
+    for (const auto& chunk : snap.chunks()) {
+      const ColumnVector& column = chunk->column(ranges.col);
+      if ((ranges.nulls && column.AnyNull()) ||
+          (ranges.nans && column.AnyNaN())) {
+        return false;
+      }
+    }
+  }
   locs->clear();
   for (const ValueRange& r : ranges.ranges) {
     snap.ForEachIndexRangeMatch(

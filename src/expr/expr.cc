@@ -217,6 +217,18 @@ ExprPtr MakeConjunction(std::vector<ExprPtr> terms) {
   return out;
 }
 
+void FlattenSameOp(const ExprPtr& e, BinaryOp op, std::vector<ExprPtr>* out) {
+  if (e->kind() == ExprKind::kBinary) {
+    const auto& bin = static_cast<const BinaryExpr&>(*e);
+    if (bin.op() == op) {
+      FlattenSameOp(bin.left(), op, out);
+      FlattenSameOp(bin.right(), op, out);
+      return;
+    }
+  }
+  out->push_back(e);
+}
+
 ExprPtr MakeDisjunction(std::vector<ExprPtr> terms) {
   ExprPtr out;
   for (ExprPtr& term : terms) {

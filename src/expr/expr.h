@@ -195,6 +195,9 @@ ExprPtr MakeBetween(ExprPtr input, ExprPtr lo, ExprPtr hi);
 ExprPtr MakeConjunction(std::vector<ExprPtr> terms);
 /// Disjunction of `terms` (empty => always-false literal 0).
 ExprPtr MakeDisjunction(std::vector<ExprPtr> terms);
+/// Append the operands of the `op` chain rooted at `e` (AND or OR) to
+/// `out`, left to right; `e` itself when it is not an `op` node.
+void FlattenSameOp(const ExprPtr& e, BinaryOp op, std::vector<ExprPtr>* out);
 
 /// Wrap an expression as a bool(const Tuple&) predicate.
 std::function<bool(const Tuple&)> ExprPredicate(ExprPtr expr);

@@ -12,23 +12,6 @@
 
 namespace imp {
 
-namespace {
-
-/// Split an AND tree into conjuncts.
-void FlattenConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
-  if (expr->kind() == ExprKind::kBinary) {
-    const auto& bin = static_cast<const BinaryExpr&>(*expr);
-    if (bin.op() == BinaryOp::kAnd) {
-      FlattenConjuncts(bin.left(), out);
-      FlattenConjuncts(bin.right(), out);
-      return;
-    }
-  }
-  out->push_back(expr);
-}
-
-}  // namespace
-
 Maintainer::Maintainer(const Database* db, const PartitionCatalog* catalog,
                        PlanPtr plan, MaintainerOptions options)
     : db_(db),
@@ -128,7 +111,7 @@ void Maintainer::ComputePushdowns() {
     // fetched delta is shared across all occurrences.
     if (scan_counts_[chain->table] != 1) return;
     std::vector<ExprPtr> conjuncts;
-    FlattenConjuncts(select.predicate(), &conjuncts);
+    FlattenSameOp(select.predicate(), BinaryOp::kAnd, &conjuncts);
     for (const ExprPtr& conjunct : conjuncts) {
       std::vector<size_t> cols;
       conjunct->CollectColumns(&cols);

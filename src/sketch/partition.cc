@@ -25,11 +25,6 @@ size_t RangePartition::FragmentOf(const Value& v) const {
   return idx;
 }
 
-RangePartition::FragmentRange RangePartition::FragmentBounds(size_t i) const {
-  IMP_CHECK(i < num_fragments());
-  return FragmentRange{bounds_[i], bounds_[i + 1], i + 1 == num_fragments()};
-}
-
 RangePartition RangePartition::EquiWidthInt(std::string table,
                                             std::string attribute,
                                             size_t attr_index, int64_t min,

@@ -44,14 +44,6 @@ class RangePartition {
   /// this is the paper's "binary search over the set of ranges").
   size_t FragmentOf(const Value& v) const;
 
-  /// [lo, hi) of fragment i; `inclusive_hi` is true for the last fragment.
-  struct FragmentRange {
-    Value lo;
-    Value hi;
-    bool inclusive_hi;
-  };
-  FragmentRange FragmentBounds(size_t i) const;
-
   /// Equal-width integer partition of [min, max] into n ranges.
   static RangePartition EquiWidthInt(std::string table, std::string attribute,
                                      size_t attr_index, int64_t min,

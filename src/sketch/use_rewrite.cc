@@ -15,17 +15,34 @@ ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
                                part->bounds().front().type());
 
   // Merge runs of adjacent fragments into single intervals (footnote 2).
+  // The edge fragments hold every value FragmentOf clamps into them, so a
+  // run starting at the first fragment is unbounded below and admits NULL
+  // — `NOT (a >= bounds[j+1])`, exact under two-valued comparisons — and a
+  // run ending at the last fragment is unbounded above.
+  const std::vector<Value>& bounds = part->bounds();
+  const size_t last = part->num_fragments() - 1;
   std::vector<ExprPtr> disjuncts;
   size_t i = 0;
   while (i < local.size()) {
     size_t j = i;
     while (j + 1 < local.size() && local[j + 1] == local[j] + 1) ++j;
-    auto lo = part->FragmentBounds(local[i]);
-    auto hi = part->FragmentBounds(local[j]);
-    ExprPtr ge = MakeBinary(BinaryOp::kGe, attr, MakeLiteral(lo.lo));
-    ExprPtr ub = MakeBinary(hi.inclusive_hi ? BinaryOp::kLe : BinaryOp::kLt,
-                            attr, MakeLiteral(hi.hi));
-    disjuncts.push_back(MakeBinary(BinaryOp::kAnd, std::move(ge), std::move(ub)));
+    const size_t first_frag = local[i], last_frag = local[j];
+    // The first and last fragment never share a run: that run would keep
+    // every fragment, which returned above.
+    if (first_frag == 0) {
+      disjuncts.push_back(MakeUnary(
+          UnaryOp::kNot,
+          MakeBinary(BinaryOp::kGe, attr, MakeLiteral(bounds[last_frag + 1]))));
+    } else {
+      ExprPtr ge =
+          MakeBinary(BinaryOp::kGe, attr, MakeLiteral(bounds[first_frag]));
+      disjuncts.push_back(
+          last_frag == last
+              ? std::move(ge)
+              : MakeBinary(BinaryOp::kAnd, std::move(ge),
+                           MakeBinary(BinaryOp::kLt, attr,
+                                      MakeLiteral(bounds[last_frag + 1]))));
+    }
     i = j + 1;
   }
   return MakeDisjunction(std::move(disjuncts));

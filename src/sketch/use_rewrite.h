@@ -17,6 +17,18 @@ namespace imp {
 /// Returns nullptr when the table has no partition or the sketch selects
 /// every fragment (no filtering possible). An always-false literal is
 /// returned for an empty sketch.
+///
+/// Edge fragments cover everything RangePartition::FragmentOf clamps into
+/// them, not just the declared domain: a run that starts at the first
+/// fragment is emitted as `NOT (a >= bounds[k])` — unbounded below, and
+/// true on NULL because comparisons are two-valued (false on NULL) — and a
+/// run that ends at the last fragment as `a >= bounds[k]`, unbounded above
+/// (strings, which sort above numbers, and NaN, which FragmentOf places
+/// last, included). Inner runs are `a >= bounds[i] AND a < bounds[k]`.
+/// So a row lies in a kept fragment iff the predicate holds, and the
+/// sketch-filtered answer equals the full scan for any value the table
+/// holds. The kernel compiler turns the whole disjunction into one
+/// range-set leaf (exec/vector_kernels.h).
 ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
                             const std::string& table,
                             const ProvenanceSketch& sketch);

@@ -1,5 +1,7 @@
 #include "storage/column_vector.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/hash.h"
@@ -68,12 +70,13 @@ void ColumnVector::AppendTyped(const Value& v) {
     case Encoding::kDouble: {
       double a = v.AsDouble();
       doubles_.push_back(a);
-      if (!stats_valid_) {
+      if (std::isnan(a)) {
+        has_nan_ = true;
+      } else if (!stats_valid_) {
         dmin_ = dmax_ = a;
         stats_valid_ = true;
       } else {
-        // Strict < keeps the first of Compare-equal values (incl. NaN,
-        // which Value::Compare treats as equal to everything).
+        // Strict < keeps the first of Compare-equal values.
         if (a < dmin_) dmin_ = a;
         if (dmax_ < a) dmax_ = a;
       }
@@ -127,7 +130,9 @@ void ColumnVector::UpdateStringStats(const std::string& s) {
 
 void ColumnVector::Append(const Value& v) {
   if (encoding_ == Encoding::kBoxed) {
-    if (!v.is_null()) {
+    if (v.is_double() && std::isnan(v.AsDouble())) {
+      has_nan_ = true;
+    } else if (!v.is_null()) {
       if (!stats_valid_) {
         vmin_ = vmax_ = v;
         stats_valid_ = true;
@@ -176,6 +181,12 @@ Value ColumnVector::GetValue(size_t i) const {
       return Value::String(std::string(StringAt(i)));
   }
   return Value::Null();
+}
+
+bool ColumnVector::AnyNull() const {
+  if (encoding_ != Encoding::kBoxed) return has_nulls_;
+  return std::any_of(boxed_.begin(), boxed_.end(),
+                     [](const Value& v) { return v.is_null(); });
 }
 
 bool ColumnVector::MinMax(Value* min, Value* max) const {

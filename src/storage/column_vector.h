@@ -23,8 +23,9 @@
 //
 // Zone-map min/max accumulators are maintained inline per append on the
 // raw payload (no Value boxing), replicating Value::Compare's update
-// semantics exactly (strict-< keeps the first of equal values; NaN never
-// compares less/greater, matching Compare's 0).
+// semantics exactly (strict-< keeps the first of equal values). NaN cells
+// stay out of them — Compare treats NaN as equal to every number, so it
+// has no place in the order — and set a has-NaN flag instead.
 
 #ifndef IMP_STORAGE_COLUMN_VECTOR_H_
 #define IMP_STORAGE_COLUMN_VECTOR_H_
@@ -86,6 +87,9 @@ class ColumnVector {
     }
   }
 
+  /// True when some cell is NULL (O(1) except for the boxed layout).
+  bool AnyNull() const;
+
   // ---- Raw views (valid for the matching encoding only) -------------------
   bool has_nulls() const { return has_nulls_; }
   const BitVector& nulls() const { return nulls_; }
@@ -107,9 +111,12 @@ class ColumnVector {
                             flat_offsets_[i + 1] - flat_offsets_[i]);
   }
 
-  /// Min/max over non-NULL cells under Value::Compare order (the zone-map
-  /// accumulators, maintained per append). False when all cells are NULL.
+  /// Min/max over non-NULL, non-NaN cells under Value::Compare order (the
+  /// zone-map accumulators, maintained per append). False when there is no
+  /// such cell.
   bool MinMax(Value* min, Value* max) const;
+  /// True when some cell is a double NaN, which MinMax leaves out.
+  bool AnyNaN() const { return has_nan_; }
 
   /// Column-at-a-time gather: (*out)[k][col] = GetValue(rows[k]). `out`
   /// tuples must already be sized past `col` (NULL-initialized).
@@ -164,7 +171,9 @@ class ColumnVector {
 
   // Zone accumulators (valid iff stats_valid_). Typed encodings track the
   // raw payload; kBoxed tracks Values via Compare — identical semantics.
+  // NaN cells only set has_nan_.
   bool stats_valid_ = false;
+  bool has_nan_ = false;
   int64_t imin_ = 0, imax_ = 0;
   double dmin_ = 0, dmax_ = 0;
   std::string smin_, smax_;

@@ -1,6 +1,7 @@
 #include "storage/snapshot_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace imp {
 
@@ -36,9 +37,8 @@ size_t HashShard::MemoryBytes() const {
 namespace {
 
 /// Sort (raw value, row) pairs replicating Value::Compare's three-way form
-/// exactly — `<` then `>` then row tie-break — so a NaN (which Compare
-/// treats as equal to everything) lands in the same position the boxed
-/// comparator would put it.
+/// exactly — `<` then `>` then row tie-break. Callers leave NaN out, so the
+/// order is a strict weak ordering.
 template <typename T>
 void SortRawRun(std::vector<std::pair<T, uint32_t>>* run) {
   std::sort(run->begin(), run->end(),
@@ -78,6 +78,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
       const double* vals = column.doubles();
       for (uint32_t r = 0; r < num_rows; ++r) {
         if (column.has_nulls() && column.nulls().Test(r)) continue;
+        if (std::isnan(vals[r])) continue;
         run.emplace_back(vals[r], r);
       }
       SortRawRun(&run);
@@ -114,6 +115,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
   const std::vector<Value>& vals = column.boxed();
   for (uint32_t r = 0; r < num_rows; ++r) {
     if (vals[r].is_null()) continue;
+    if (vals[r].is_double() && std::isnan(vals[r].AsDouble())) continue;
     shard->entries_.emplace_back(vals[r], r);
   }
   std::sort(shard->entries_.begin(), shard->entries_.end(),

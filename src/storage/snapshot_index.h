@@ -58,7 +58,9 @@ class HashShard {
 
 /// Immutable per-chunk ordered run: (value, row) pairs sorted by
 /// (Value::Compare, row). NULLs are excluded — a SQL range predicate never
-/// matches them.
+/// matches them — and so are double NaNs, which Compare treats as equal to
+/// every number: they have no place in the order, and a range probe could
+/// not tell which ranges admit them (see ColumnVector::AnyNaN).
 class SortedShard {
  public:
   /// Build from the first `num_rows` entries of a chunk column. Typed

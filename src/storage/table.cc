@@ -43,6 +43,7 @@ std::vector<Tuple> DataChunk::GatherRows(const BitVector& sel) const {
 DataChunk::ZoneEntry DataChunk::zone(size_t col) const {
   ZoneEntry z;
   z.valid = columns_[col].MinMax(&z.min, &z.max);
+  z.nan = columns_[col].AnyNaN();
   return z;
 }
 

@@ -119,12 +119,15 @@ class DataChunk {
 
   const ColumnVector& column(size_t col) const { return columns_[col]; }
 
-  /// Zone-map entry of a column: min/max over non-null values; `valid` is
-  /// false when the column holds no non-null values yet.
+  /// Zone-map entry of a column: min/max over non-null, non-NaN values;
+  /// `valid` is false when the column holds no such value yet. `nan` is
+  /// set when some cell is a double NaN, which lies outside [min, max] and
+  /// compares equal to every number.
   struct ZoneEntry {
     Value min;
     Value max;
     bool valid = false;
+    bool nan = false;
   };
   /// Built on demand from the column's inline min/max accumulators (one
   /// columnar pass shared with the payload append — rows are not re-boxed).

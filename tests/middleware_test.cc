@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "middleware/imp_system.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -216,6 +218,102 @@ TEST_F(MiddlewareTest, PartitionTableHelperBuildsEquiDepth) {
   EXPECT_GE(part->num_fragments(), 2u);
   EXPECT_FALSE(system.PartitionTable("sales", "price", 4).ok());  // dup
   EXPECT_FALSE(system.PartitionTable("ghost", "x", 4).ok());
+}
+
+// RangePartition::FragmentOf clamps values below the declared domain (and
+// NULL) into the first fragment and values above it into the last, so the
+// use-rewrite's edge runs must be unbounded on that side (and admit NULL)
+// or the sketch answer silently loses those rows.
+TEST(SketchEdgeFragmentTest, OutOfDomainAndNullRowsMatchThePlainScan) {
+  Database db;
+  Schema schema;
+  schema.AddColumn("a", ValueType::kInt);
+  schema.AddColumn("b", ValueType::kInt);
+  ASSERT_TRUE(db.CreateTable("r", schema).ok());
+  std::vector<Tuple> rows;
+  for (int64_t a = 0; a < 100; ++a) rows.push_back({Value::Int(a), Value::Int(1)});
+  rows.push_back({Value::Int(50), Value::Int(600)});  // an inner run too
+  rows.push_back({Value::Int(-7), Value::Int(1000)});
+  rows.push_back({Value::Int(150), Value::Int(1000)});
+  rows.push_back({Value::Null(), Value::Int(1000)});
+  ASSERT_TRUE(db.BulkLoad("r", rows).ok());
+
+  ImpConfig ns_config;
+  ns_config.mode = ExecutionMode::kNoSketch;
+  ImpSystem plain(&db, ns_config);
+  ImpConfig config;
+  config.mode = ExecutionMode::kIncremental;
+  ImpSystem system(&db, config);
+  ASSERT_TRUE(system
+                  .RegisterPartition(
+                      RangePartition::EquiWidthInt("r", "a", 0, 0, 99, 10))
+                  .ok());
+  const char* sql = "SELECT a, sum(b) AS s FROM r GROUP BY a HAVING sum(b) > 500";
+
+  auto expected = plain.Query(sql);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.value().size(), 4u);
+  auto captured = system.Query(sql);  // capture, then answer via the sketch
+  ASSERT_TRUE(captured.ok());
+  EXPECT_EQ(system.stats().sketch_captures, 1u);
+  EXPECT_TRUE(captured.value().SameBag(expected.value()));
+
+  // Out-of-domain rows arriving later, maintained into the sketch.
+  ASSERT_TRUE(system.Update("INSERT INTO r VALUES (-20, 900)").ok());
+  ASSERT_TRUE(system.Update("INSERT INTO r VALUES (NULL, 5)").ok());
+  ASSERT_TRUE(system.Update("INSERT INTO r VALUES (400, 501)").ok());
+  expected = plain.Query(sql);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.value().size(), 6u);
+  auto maintained = system.Query(sql);
+  ASSERT_TRUE(maintained.ok());
+  EXPECT_EQ(system.stats().sketch_captures, 1u);
+  EXPECT_GE(system.stats().maintenances, 1u);
+  EXPECT_TRUE(maintained.value().SameBag(expected.value()));
+}
+
+TEST(SketchEdgeFragmentTest, NaNRowInTheLastFragmentMatchesThePlainScan) {
+  // FragmentOf places NaN in the last fragment, and the last run `a >= 90`
+  // holds on it (NaN compares equal to every number). The NaN row sits
+  // mid-chunk in a chunk whose other values all lie below 90, so only a
+  // NaN-aware zone test keeps that chunk for the sketch-filtered scan.
+  Database db;
+  Schema schema;
+  schema.AddColumn("a", ValueType::kDouble);
+  schema.AddColumn("g", ValueType::kInt);
+  schema.AddColumn("b", ValueType::kInt);
+  ASSERT_TRUE(db.CreateTable("r", schema).ok());
+  const int64_t cap = static_cast<int64_t>(DataChunk::kDefaultCapacity);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 2 * cap; ++i) {
+    // Chunk 0 holds a in [0, 50), chunk 1 a in [50, 100).
+    const double a = (i < cap ? 0 : 50) + static_cast<double>(i % 500) / 10;
+    rows.push_back({Value::Double(a), Value::Int(1 + i % 50), Value::Int(1)});
+  }
+  rows[100] = {Value::Double(std::nan("")), Value::Int(0), Value::Int(1000)};
+  rows.push_back({Value::Double(95), Value::Int(0), Value::Int(1)});
+  ASSERT_TRUE(db.BulkLoad("r", rows).ok());
+
+  ImpConfig ns_config;
+  ns_config.mode = ExecutionMode::kNoSketch;
+  ImpSystem plain(&db, ns_config);
+  ImpConfig config;
+  config.mode = ExecutionMode::kIncremental;
+  ImpSystem system(&db, config);
+  std::vector<Value> bounds;
+  for (int b = 0; b <= 100; b += 10) bounds.push_back(Value::Double(b));
+  ASSERT_TRUE(system.RegisterPartition(RangePartition("r", "a", 0, bounds)).ok());
+  const char* sql = "SELECT g, sum(b) AS s FROM r GROUP BY g HAVING sum(b) > 500";
+
+  auto expected = plain.Query(sql);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.value().size(), 1u);
+  for (int pass = 0; pass < 2; ++pass) {  // capture, then reuse the sketch
+    auto answered = system.Query(sql);
+    ASSERT_TRUE(answered.ok());
+    EXPECT_TRUE(answered.value().SameBag(expected.value())) << "pass " << pass;
+  }
+  EXPECT_EQ(system.stats().sketch_captures, 1u);
 }
 
 }  // namespace

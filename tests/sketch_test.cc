@@ -184,8 +184,9 @@ TEST_F(CaptureTest, UseRewriteSkipsDataAndPreservesResult) {
 }
 
 TEST_F(CaptureTest, AdjacentRangesMerge) {
-  // Sketch {ρ3, ρ4} merges into one BETWEEN-style interval (footnote 2):
-  // price >= 1001 AND price <= 10000.
+  // Sketch {ρ3, ρ4} merges into one interval (footnote 2). ρ4 is the last
+  // fragment, which also holds every price above the declared domain, so
+  // the run is unbounded above: price >= 1001.
   ProvenanceSketch sketch;
   sketch.fragments = BitVector(4);
   sketch.fragments.Set(2);
@@ -204,6 +205,7 @@ TEST_F(CaptureTest, AdjacentRangesMerge) {
   EXPECT_FALSE(matches(1000));
   EXPECT_TRUE(matches(1001));
   EXPECT_TRUE(matches(10000));
+  EXPECT_TRUE(matches(20000));  // FragmentOf clamps it into ρ4
 }
 
 TEST_F(CaptureTest, FullSketchMeansNoPredicate) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "imp/maintainer.h"
 #include "sketch/capture.h"
 #include "sketch/partition.h"
+#include "sketch/use_rewrite.h"
 #include "test_util.h"
 
 namespace imp {
@@ -210,35 +212,6 @@ TEST(VectorKernelTest, RandomizedEquivalenceOnStridedMembers) {
 
 // ---- Targeted shapes --------------------------------------------------------
 
-TEST(VectorKernelTest, RangeSetFusionIsFullyVectorized) {
-  // The IN-partition-bucket shape the use-rewrite emits: OR of ranges and
-  // equalities over ONE column fuses into a sorted range-set probe.
-  ExprPtr col = MakeColumnRef(0, "a", ValueType::kInt);
-  auto ref = [&] { return MakeColumnRef(0, "a", ValueType::kInt); };
-  ExprPtr expr = MakeDisjunction([&] {
-    std::vector<ExprPtr> terms;
-    terms.push_back(MakeBetween(ref(), MakeLiteral(Value::Int(1)),
-                                MakeLiteral(Value::Int(10))));
-    terms.push_back(MakeBetween(ref(), MakeLiteral(Value::Int(8)),
-                                MakeLiteral(Value::Int(20))));  // overlaps
-    terms.push_back(MakeBinary(BinaryOp::kEq, ref(),
-                               MakeLiteral(Value::Int(50))));
-    return terms;
-  }());
-  PredicateKernel kernel = PredicateKernel::Compile(expr);
-  EXPECT_TRUE(kernel.fully_vectorized());
-
-  std::vector<Tuple> rows;
-  for (int v = -5; v < 60; ++v) rows.push_back(Tuple{Value::Int(v)});
-  rows.push_back(Tuple{Value::Null()});
-  BitVector sel;
-  kernel.Eval(RowBlock::FromTuples(rows.data(), rows.size()), &sel, nullptr,
-              nullptr);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(sel.Test(i), ScalarBit(expr, rows[i])) << "row " << i;
-  }
-}
-
 TEST(VectorKernelTest, ScalarRemainderOnlyTestsSurvivors) {
   // (a <= 10) AND (a < b): the comparison compiles, the col-vs-col
   // remainder must run only on rows that pass the compiled part.
@@ -276,6 +249,335 @@ TEST(VectorKernelTest, NullPredicateSelectsEverything) {
   kernel.Eval(RowBlock::FromTuples(rows.data(), rows.size()), &sel, nullptr,
               nullptr);
   EXPECT_EQ(sel.Count(), rows.size());
+}
+
+// ---- Range-set leaves -------------------------------------------------------
+//
+// Every single-column AND / OR / NOT / BETWEEN tree compiles to ONE
+// range-set leaf. The shape tests pin that for what the sketch use-rewrite
+// actually emits; the equivalence tests check the leaf bit-for-bit against
+// Expr::Eval on every column encoding and both RowBlock layouts.
+
+/// One row set in every layout a kernel reads: a row-major block, the
+/// chunks of a typed table and the chunks of a boxed table.
+class Layouts {
+ public:
+  Layouts(const Schema& schema, std::vector<Tuple> rows)
+      : rows_(std::move(rows)), boxed_(BoxedOptions()) {
+    for (Database* db : {&typed_, &boxed_}) {
+      IMP_CHECK(db->CreateTable("t", schema).ok());
+      IMP_CHECK(db->BulkLoad("t", rows_).ok());
+    }
+  }
+
+  /// Zone [min, max] of column `col` in each typed chunk.
+  std::vector<DataChunk::ZoneEntry> Zones(size_t col) const {
+    std::vector<DataChunk::ZoneEntry> zones;
+    for (const auto& chunk : typed_.GetTable("t")->Snapshot()->chunks()) {
+      zones.push_back(chunk->zone(col));
+    }
+    return zones;
+  }
+
+  /// Checks the compiled `expr` bit-for-bit against Expr::Eval in each.
+  void ExpectMatchesEval(const ExprPtr& expr, const std::string& context) const {
+    PredicateKernel kernel = PredicateKernel::Compile(expr);
+    ExpectBitIdentical(kernel, expr,
+                       RowBlock::FromTuples(rows_.data(), rows_.size()), rows_,
+                       context + " tuples");
+    for (const Database* db : {&typed_, &boxed_}) {
+      const std::string layout = db == &typed_ ? " typed" : " boxed";
+      size_t base = 0;
+      for (const auto& chunk : db->GetTable("t")->Snapshot()->chunks()) {
+        std::vector<Tuple> chunk_rows(rows_.begin() + base,
+                                      rows_.begin() + base + chunk->num_rows());
+        ExpectBitIdentical(kernel, expr, RowBlock::FromChunk(*chunk), chunk_rows,
+                           context + layout + " chunk@" + std::to_string(base));
+        base += chunk->num_rows();
+      }
+      ASSERT_EQ(base, rows_.size());
+    }
+  }
+
+ private:
+  static DatabaseOptions BoxedOptions() {
+    DatabaseOptions o;
+    o.typed_columns = false;
+    return o;
+  }
+
+  std::vector<Tuple> rows_;
+  Database typed_;
+  Database boxed_;
+};
+
+ProvenanceSketch SketchOf(const PartitionCatalog& catalog,
+                          const std::string& table,
+                          const std::vector<size_t>& local) {
+  ProvenanceSketch sketch;
+  sketch.fragments = BitVector(catalog.total_fragments());
+  for (size_t f : local) sketch.fragments.Set(catalog.GlobalFragment(table, f));
+  return sketch;
+}
+
+TEST(RangeSetLeafTest, SketchPredicateCompilesToOneRangeSetLeaf) {
+  // t(a int, d int) partitioned on a into 100 fragments of [0, 999]; u(c
+  // double) into 100 fragments of [-50, 50].
+  PartitionCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Register(RangePartition::EquiWidthInt("t", "a", 0, 0, 999, 100))
+          .ok());
+  std::vector<Value> dbounds;
+  for (int i = 0; i <= 100; ++i) dbounds.push_back(Value::Double(i - 50.0));
+  ASSERT_TRUE(catalog.Register(RangePartition("u", "c", 0, dbounds)).ok());
+
+  std::vector<size_t> runs20, runs50;
+  for (size_t f = 0; f <= 90; f += 5) runs20.push_back(f);  // 19 runs
+  runs20.push_back(99);
+  for (size_t f = 0; f <= 96; f += 2) runs50.push_back(f);  // 49 runs
+  runs50.push_back(99);
+  struct Case {
+    const char* name;
+    std::vector<size_t> frags;
+  };
+  const std::vector<Case> cases = {
+      {"1 inner run", {10, 11, 12}},
+      {"1 run from the first fragment", {0, 1, 2}},
+      {"20 runs", runs20},
+      {"50 runs", runs50},
+  };
+
+  Schema ts;
+  ts.AddColumn("a", ValueType::kInt);
+  ts.AddColumn("d", ValueType::kInt);
+  // In, below and above the declared domain; the odd-typed rows at the end
+  // make the last chunk fall back to boxed cells, the first stays typed.
+  std::vector<Tuple> trows;
+  for (int pass = 0; pass < 4; ++pass) {
+    for (int64_t a = -60; a < 1100; ++a) {
+      trows.push_back({Value::Int(a), Value::Int(a % 7)});
+    }
+  }
+  trows.push_back({Value::Null(), Value::Int(1)});
+  trows.push_back({Value::Double(12.5), Value::Int(1)});
+  trows.push_back({Value::String("zz"), Value::Int(1)});
+  const Layouts t_layouts(ts, trows);
+  for (const Case& c : cases) {
+    ExprPtr pred = SketchScanPredicate(catalog, "t", SketchOf(catalog, "t", c.frags));
+    ASSERT_NE(pred, nullptr) << c.name;
+    PredicateKernel kernel = PredicateKernel::Compile(pred);
+    EXPECT_TRUE(kernel.fully_vectorized()) << c.name;
+    EXPECT_EQ(kernel.num_leaves(), 1u) << c.name << ": " << pred->ToString();
+    EXPECT_EQ(kernel.num_range_sets(), 1u) << c.name;
+    t_layouts.ExpectMatchesEval(pred, c.name);
+    // Conjoined with a scan filter on another column: one leaf each.
+    ExprPtr filtered = MakeBinary(
+        BinaryOp::kAnd,
+        MakeBinary(BinaryOp::kLt, MakeColumnRef(1, "d", ValueType::kInt),
+                   MakeLiteral(Value::Int(5))),
+        pred);
+    PredicateKernel fk = PredicateKernel::Compile(filtered);
+    EXPECT_EQ(fk.num_leaves(), 2u) << c.name;
+    EXPECT_EQ(fk.num_range_sets(), 1u) << c.name;
+    t_layouts.ExpectMatchesEval(filtered, std::string(c.name) + "+d");
+  }
+  // A run ending at the last fragment alone is one bare comparison, and a
+  // plain comparison stays a comparison leaf.
+  ExprPtr tail =
+      SketchScanPredicate(catalog, "t", SketchOf(catalog, "t", {97, 98, 99}));
+  PredicateKernel tk = PredicateKernel::Compile(tail);
+  EXPECT_EQ(tk.num_leaves(), 1u);
+  EXPECT_EQ(tk.num_range_sets(), 0u);
+  t_layouts.ExpectMatchesEval(tail, "tail run");
+  PredicateKernel plain = PredicateKernel::Compile(MakeBinary(
+      BinaryOp::kLt, MakeColumnRef(1, "d", ValueType::kInt),
+      MakeLiteral(Value::Int(500))));
+  EXPECT_EQ(plain.num_leaves(), 1u);
+  EXPECT_EQ(plain.num_range_sets(), 0u);
+
+  // The double partition, NaN, infinities and NULL included.
+  Schema us;
+  us.AddColumn("c", ValueType::kDouble);
+  std::vector<Tuple> urows;
+  for (int i = -700; i < 700; ++i) urows.push_back({Value::Double(i / 10.0)});
+  for (double v : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.0, 49.99, 50.0}) {
+    urows.push_back({Value::Double(v)});
+  }
+  urows.push_back({Value::Null()});
+  const Layouts u_layouts(us, urows);
+  // A leading NaN poisons the chunk's zone: no clipping, same answer.
+  std::swap(urows.front(), urows[urows.size() - 7]);
+  const Layouts nan_zone_layouts(us, urows);
+  for (const Case& c : cases) {
+    ExprPtr pred = SketchScanPredicate(catalog, "u", SketchOf(catalog, "u", c.frags));
+    PredicateKernel kernel = PredicateKernel::Compile(pred);
+    EXPECT_EQ(kernel.num_leaves(), 1u) << c.name;
+    EXPECT_EQ(kernel.num_range_sets(), 1u) << c.name;
+    u_layouts.ExpectMatchesEval(pred, std::string("double ") + c.name);
+    nan_zone_layouts.ExpectMatchesEval(pred, std::string("NaN-zone ") + c.name);
+  }
+}
+
+// Columns: ci int clustered by row position (narrow chunk zones), cd double
+// clustered with NaN, cm mixed int/double (boxed fallback), cs string, cn
+// mostly-NULL int.
+Schema RangeSetSchema() {
+  Schema s;
+  s.AddColumn("ci", ValueType::kInt);
+  s.AddColumn("cd", ValueType::kDouble);
+  s.AddColumn("cm", ValueType::kInt);
+  s.AddColumn("cs", ValueType::kString);
+  s.AddColumn("cn", ValueType::kInt);
+  return s;
+}
+
+std::vector<Tuple> RangeSetRows(Rng* rng, size_t n) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t pos = static_cast<int64_t>(i / 4);
+    Tuple row;
+    row.push_back(rng->Chance(0.05) ? Value::Null()
+                                    : Value::Int(pos + rng->UniformInt(0, 3)));
+    if (rng->Chance(0.05)) {
+      row.push_back(Value::Null());
+    } else if (rng->Chance(0.02)) {
+      row.push_back(Value::Double(std::nan("")));
+    } else {
+      row.push_back(Value::Double(pos * 0.5 + rng->UniformDouble(0.0, 1.0)));
+    }
+    row.push_back(rng->Chance(0.5) ? Value::Int(rng->UniformInt(0, 60))
+                                   : Value::Double(rng->UniformDouble(0.0, 60.0)));
+    row.push_back(rng->Chance(0.05)
+                      ? Value::Null()
+                      : Value::String("s" + std::to_string(rng->UniformInt(100, 400))));
+    // cn is all NULL in the first chunk (an untyped column there).
+    row.push_back(i < DataChunk::kDefaultCapacity || rng->Chance(0.7)
+                      ? Value::Null()
+                      : Value::Int(rng->UniformInt(0, 50)));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// A literal near column `col`'s values — sometimes of another type (int
+/// vs double, a string against a number), rarely NULL.
+Value RangeSetLiteral(Rng* rng, size_t col, int64_t scale) {
+  if (rng->Chance(0.03)) return Value::Null();
+  if (rng->Chance(0.05)) return Value::String("s" + std::to_string(rng->UniformInt(100, 400)));
+  const int64_t v = rng->UniformInt(-5, scale + 5);
+  switch (col) {
+    case 1:
+      return rng->Chance(0.7) ? Value::Double(v * 0.5 + 0.25) : Value::Int(v / 2);
+    case 3:
+      return Value::String("s" + std::to_string(rng->UniformInt(100, 400)));
+    default:
+      return rng->Chance(0.85) ? Value::Int(v) : Value::Double(v + 0.5);
+  }
+}
+
+/// A random single-column tree: comparisons in both operand orders (all
+/// six ops, so inclusive, exclusive and unbounded sides), BETWEEN, AND, OR,
+/// NOT, and wide disjunctions of small ranges like a sketch's runs.
+ExprPtr RangeSetPredicate(Rng* rng, size_t col, int64_t scale, int depth) {
+  static const char* kNames[] = {"ci", "cd", "cm", "cs", "cn"};
+  auto ref = [&] { return MakeColumnRef(col, kNames[col], ValueType::kInt); };
+  auto lit = [&] { return MakeLiteral(RangeSetLiteral(rng, col, scale)); };
+  if (depth > 0 && rng->Chance(0.6)) {
+    switch (rng->UniformInt(0, 3)) {
+      case 0:
+        return MakeBinary(BinaryOp::kAnd, RangeSetPredicate(rng, col, scale, depth - 1),
+                          RangeSetPredicate(rng, col, scale, depth - 1));
+      case 1:
+        return MakeBinary(BinaryOp::kOr, RangeSetPredicate(rng, col, scale, depth - 1),
+                          RangeSetPredicate(rng, col, scale, depth - 1));
+      case 2:
+        return MakeUnary(UnaryOp::kNot, RangeSetPredicate(rng, col, scale, depth - 1));
+      default: {
+        std::vector<ExprPtr> runs;
+        const int64_t k = rng->UniformInt(3, 40);
+        for (int64_t i = 0; i < k; ++i) {
+          runs.push_back(MakeBinary(
+              BinaryOp::kAnd, MakeBinary(BinaryOp::kGe, ref(), lit()),
+              MakeBinary(rng->Chance(0.5) ? BinaryOp::kLt : BinaryOp::kLe, ref(),
+                         lit())));
+        }
+        return MakeDisjunction(std::move(runs));
+      }
+    }
+  }
+  if (rng->Chance(0.2)) return MakeBetween(ref(), lit(), lit());
+  ExprPtr l = lit();
+  return rng->Chance(0.5) ? MakeBinary(RandomCmp(rng), ref(), l)
+                          : MakeBinary(RandomCmp(rng), l, ref());
+}
+
+TEST(RangeSetLeafTest, RandomizedSingleColumnTreesMatchEval) {
+  Rng rng(77);
+  const size_t n = 3 * DataChunk::kDefaultCapacity + 300;
+  const Layouts layouts(RangeSetSchema(), RangeSetRows(&rng, n));
+  const int64_t scales[] = {static_cast<int64_t>(n / 4), static_cast<int64_t>(n / 4),
+                            60, 400, 50};
+  for (int trial = 0; trial < 100; ++trial) {
+    const size_t col = static_cast<size_t>(rng.UniformInt(0, 4));
+    ExprPtr expr = RangeSetPredicate(&rng, col, scales[col], 3);
+    PredicateKernel kernel = PredicateKernel::Compile(expr);
+    // Without a NULL literal nothing needs the scalar path, and the whole
+    // tree is one leaf (or folds to a constant).
+    if (expr->ToString().find("NULL") == std::string::npos) {
+      EXPECT_TRUE(kernel.fully_vectorized() || !kernel.vectorized())
+          << expr->ToString();
+      EXPECT_LE(kernel.num_leaves(), 1u) << expr->ToString();
+    }
+    layouts.ExpectMatchesEval(expr, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(RangeSetLeafTest, ZoneCoveredAndZoneMissedChunks) {
+  // Three chunks whose ci / cd zones are disjoint: spans that cover the
+  // first chunk's zone whole, miss the second entirely, and cut the third
+  // into many small pieces (the branchless-search path), two of which end
+  // exactly on the third zone's min and start exactly on its max.
+  Rng rng(78);
+  const Layouts layouts(RangeSetSchema(),
+                        RangeSetRows(&rng, 3 * DataChunk::kDefaultCapacity));
+  const int64_t chunk_span = DataChunk::kDefaultCapacity / 4;
+  for (size_t col : {size_t{0}, size_t{1}}) {
+    const std::vector<DataChunk::ZoneEntry> zones = layouts.Zones(col);
+    ASSERT_EQ(zones.size(), 3u);
+    auto bound = [&](int64_t pos) {
+      return col == 0 ? Value::Int(pos) : Value::Double(pos * 0.5);
+    };
+    auto ref = [&] { return MakeColumnRef(col, col == 0 ? "ci" : "cd", ValueType::kInt); };
+    auto span = [&](Value lo, Value hi) {
+      return MakeBinary(BinaryOp::kAnd,
+                        MakeBinary(BinaryOp::kGe, ref(), MakeLiteral(std::move(lo))),
+                        MakeBinary(BinaryOp::kLe, ref(), MakeLiteral(std::move(hi))));
+    };
+    std::vector<ExprPtr> runs;
+    runs.push_back(MakeBetween(ref(), MakeLiteral(bound(-10)),
+                               MakeLiteral(bound(chunk_span + 10))));
+    for (int64_t p = 2 * chunk_span + 20; p < 3 * chunk_span - 40; p += 37) {
+      runs.push_back(MakeBinary(
+          BinaryOp::kAnd, MakeBinary(BinaryOp::kGe, ref(), MakeLiteral(bound(p))),
+          MakeBinary(BinaryOp::kLt, ref(), MakeLiteral(bound(p + 11)))));
+    }
+    runs.push_back(span(bound(-1000), zones[2].min));
+    runs.push_back(span(zones[2].max, bound(100000)));
+    ExprPtr expr = MakeDisjunction(std::move(runs));
+    EXPECT_EQ(PredicateKernel::Compile(expr).num_range_sets(), 1u);
+    layouts.ExpectMatchesEval(expr, col == 0 ? "int zones" : "double zones");
+    // The complement: admits NULL, unbounded on both ends.
+    ExprPtr negated = MakeUnary(UnaryOp::kNot, expr);
+    EXPECT_EQ(PredicateKernel::Compile(negated).num_range_sets(), 1u);
+    layouts.ExpectMatchesEval(negated,
+                              col == 0 ? "int zones NOT" : "double zones NOT");
+  }
+  // A NULL-admitting range set over cn, all NULL (untyped) in chunk 0.
+  layouts.ExpectMatchesEval(
+      MakeUnary(UnaryOp::kNot,
+                MakeBinary(BinaryOp::kGt, MakeColumnRef(4, "cn", ValueType::kInt),
+                           MakeLiteral(Value::Int(20)))),
+      "untyped NOT");
 }
 
 // ---- End-to-end: queries, capture, maintenance ------------------------------

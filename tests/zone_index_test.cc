@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "exec/executor.h"
 #include "exec/zone_filter.h"
 #include "sketch/capture.h"
@@ -386,6 +388,47 @@ TEST(RangeIndexTest, ExtractColumnRangesShapes) {
   ASSERT_TRUE(r.has_value());
   EXPECT_TRUE(r->ranges.empty());
 
+  // NOT complements and admits NULL: NOT (k >= 10) is (-inf, 10) + NULL.
+  r = ExtractColumnRanges(
+      *MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kGe, k(), lit(10))));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->nulls);
+  ASSERT_EQ(r->ranges.size(), 1u);
+  EXPECT_FALSE(r->ranges[0].lo.has);
+  EXPECT_EQ(r->ranges[0].hi.v, Value::Int(10));
+  EXPECT_FALSE(r->ranges[0].hi.inclusive);
+  // NOT BETWEEN 2 AND 8 is (-inf, 2) and (8, +inf); NOT NOT drops NULL.
+  r = ExtractColumnRanges(*MakeUnary(UnaryOp::kNot, MakeBetween(k(), lit(2), lit(8))));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->nulls);
+  ASSERT_EQ(r->ranges.size(), 2u);
+  EXPECT_FALSE(r->ranges[0].hi.inclusive);
+  EXPECT_FALSE(r->ranges[1].lo.inclusive);
+  EXPECT_FALSE(r->ranges[1].hi.has);
+  r = ExtractColumnRanges(*MakeUnary(
+      UnaryOp::kNot,
+      MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kGe, k(), lit(10)))));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->nulls);
+  ASSERT_EQ(r->ranges.size(), 1u);
+  EXPECT_TRUE(r->ranges[0].lo.inclusive);
+  // NULL survives an OR with a NULL-admitting side, not an AND.
+  ExprPtr not_ge = MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kGe, k(), lit(10)));
+  r = ExtractColumnRanges(
+      *MakeBinary(BinaryOp::kOr, not_ge, MakeBinary(BinaryOp::kGe, k(), lit(90))));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->nulls);
+  EXPECT_EQ(r->ranges.size(), 2u);
+  r = ExtractColumnRanges(
+      *MakeBinary(BinaryOp::kAnd, not_ge, MakeBinary(BinaryOp::kGe, k(), lit(0))));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->nulls);
+
+  // A NaN literal equals every number under Value::Compare: no ranges.
+  EXPECT_FALSE(ExtractColumnRanges(*MakeBinary(BinaryOp::kLt, k(),
+                                               MakeLiteral(Value::Double(std::nan("")))))
+                   .has_value());
+
   // Not single-column reducible.
   ExprPtr v = MakeColumnRef(1, "v", ValueType::kInt);
   EXPECT_FALSE(ExtractColumnRanges(*MakeBinary(BinaryOp::kLt, k(), v))
@@ -414,6 +457,163 @@ TEST(RangeIndexTest, ChunkMayMatchRangesRefinesWithSortedShard) {
   EXPECT_FALSE(ChunkMayMatchRanges(gap, chunk));
   gap.ranges[0].lo.v = gap.ranges[0].hi.v = Value::Int(14);
   EXPECT_TRUE(ChunkMayMatchRanges(gap, chunk));
+}
+
+TEST(RangeIndexTest, NullAdmittingRangesKeepNullRows) {
+  // The use-rewrite's edge shape: NOT (k >= 40) OR k >= 290 admits NULL.
+  ExprPtr k = MakeColumnRef(0, "k", ValueType::kInt);
+  ExprPtr pred = MakeBinary(
+      BinaryOp::kOr,
+      MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kGe, k, MakeLiteral(Value::Int(40)))),
+      MakeBinary(BinaryOp::kGe, k, MakeLiteral(Value::Int(290))));
+  std::optional<ColumnRanges> ranges = ExtractColumnRanges(*pred);
+  ASSERT_TRUE(ranges.has_value());
+  ASSERT_TRUE(ranges->nulls);
+
+  // A chunk whose zone misses both ranges still holds a matching NULL row.
+  DataChunk chunk(2);
+  chunk.AppendRow(Row(100, 1));
+  chunk.AppendRow(Tuple{Value::Null(), Value::Int(2)});
+  chunk.AppendRow(Row(200, 3));
+  EXPECT_TRUE(ChunkMayMatchRanges(*ranges, chunk));
+  DataChunk no_nulls(2);
+  no_nulls.AppendRow(Row(100, 1));
+  no_nulls.AppendRow(Row(200, 3));
+  EXPECT_FALSE(ChunkMayMatchRanges(*ranges, no_nulls));
+
+  // Index-served scans leave NULLs out, so a table holding one falls back
+  // to filtering; a NULL-free table is still served from the index. Both
+  // agree with the plain scan row for row.
+  for (bool with_null : {true, false}) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+    std::vector<Tuple> rows;
+    const int64_t n = static_cast<int64_t>(DataChunk::kDefaultCapacity) * 2;
+    for (int64_t i = 0; i < n; ++i) {
+      rows.push_back(with_null && i % 1000 == 7 ? Tuple{Value::Null(), Value::Int(i)}
+                                                : Row(i % 301, i));
+    }
+    ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+    PlanPtr scan = MakeScan("t", db.GetTable("t")->schema(), pred);
+    Executor scan_exec(&db), index_exec(&db);
+    scan_exec.set_range_index_mode(RangeIndexMode::kOff);
+    index_exec.set_range_index_mode(RangeIndexMode::kBuild);
+    auto scanned = scan_exec.Execute(scan);
+    auto indexed = index_exec.Execute(scan);
+    ASSERT_TRUE(scanned.ok());
+    ASSERT_TRUE(indexed.ok());
+    EXPECT_EQ(index_exec.scan_stats().index_range_scans, with_null ? 0u : 1u);
+    ASSERT_EQ(scanned.value().size(), indexed.value().size());
+    for (size_t i = 0; i < scanned.value().size(); ++i) {
+      EXPECT_EQ(scanned.value().rows[i], indexed.value().rows[i]);
+    }
+    size_t expected = 0;
+    for (const Tuple& row : rows) expected += pred->Eval(row).IsTrue() ? 1 : 0;
+    EXPECT_EQ(scanned.value().size(), expected);
+  }
+}
+
+TEST(RangeIndexTest, NaNRowsKeptByZoneSkippingAndIndexScans) {
+  // Value::Compare treats NaN as equal to every number, so `c >= 5` and
+  // `NOT (c < 5)` both hold on a NaN cell. A NaN lies outside the zone's
+  // [min, max] and outside ordered shards, yet chunk skipping and index
+  // scans must keep it.
+  const double nan = std::nan("");
+  ExprPtr c = MakeColumnRef(0, "c", ValueType::kDouble);
+  auto lit = [](double v) { return MakeLiteral(Value::Double(v)); };
+  ExprPtr ge5 = MakeBinary(BinaryOp::kGe, c, lit(5));
+  ExprPtr not_lt5 = MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kLt, c, lit(5)));
+  ExprPtr gt5 = MakeBinary(BinaryOp::kGt, c, lit(5));
+  ExprPtr lt5 = MakeBinary(BinaryOp::kLt, c, lit(5));
+
+  // A NaN that is not the chunk's first value leaves the zone at [1, 3].
+  DataChunk mid(2);
+  mid.AppendRow({Value::Double(1), Value::Int(0)});
+  mid.AppendRow({Value::Double(nan), Value::Int(1)});
+  mid.AppendRow({Value::Double(3), Value::Int(2)});
+  // A NaN first value no longer seeds the zone either.
+  DataChunk first(2);
+  first.AppendRow({Value::Double(nan), Value::Int(0)});
+  first.AppendRow({Value::Double(1), Value::Int(1)});
+  first.AppendRow({Value::Double(3), Value::Int(2)});
+  for (const DataChunk* chunk : {&mid, &first}) {
+    const DataChunk::ZoneEntry z = chunk->zone(0);
+    ASSERT_TRUE(z.valid);
+    EXPECT_TRUE(z.nan);
+    EXPECT_EQ(z.min.AsDouble(), 1.0);
+    EXPECT_EQ(z.max.AsDouble(), 3.0);
+    for (const ExprPtr& pred : {ge5, not_lt5}) {
+      std::optional<ColumnRanges> r = ExtractColumnRanges(*pred);
+      ASSERT_TRUE(r.has_value());
+      EXPECT_TRUE(r->nans) << pred->ToString();
+      EXPECT_TRUE(ChunkMayMatchRanges(*r, *chunk)) << pred->ToString();
+      EXPECT_TRUE(ChunkMayMatch(*pred, *chunk)) << pred->ToString();
+    }
+    std::optional<ColumnRanges> r = ExtractColumnRanges(*gt5);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(r->nans);
+    EXPECT_FALSE(ChunkMayMatchRanges(*r, *chunk));
+    EXPECT_FALSE(ChunkMayMatch(*gt5, *chunk));
+    EXPECT_TRUE(ChunkMayMatch(*lt5, *chunk));
+    EXPECT_TRUE(ChunkMayMatch(*MakeBetween(c, lit(6), lit(8)), *chunk));
+  }
+
+  // Scans over three chunks: [0, 3] with a NaN first and one mid-chunk,
+  // [10, 13] without NaN, [0, 3] with one NaN. The scalar scan, the kernel
+  // scan with zone skipping and the index-served scan each return exactly
+  // the rows Expr::Eval keeps, in table order, in both storage layouts.
+  Schema schema;
+  schema.AddColumn("c", ValueType::kDouble);
+  schema.AddColumn("id", ValueType::kInt);
+  const int64_t cap = static_cast<int64_t>(DataChunk::kDefaultCapacity);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 2 * cap + 300; ++i) {
+    const bool is_nan = i == 0 || i == 777 || i == 2 * cap + 50;
+    const double v = (i / cap == 1 ? 10 : 0) + static_cast<double>(i % 4);
+    rows.push_back({Value::Double(is_nan ? nan : v), Value::Int(i)});
+  }
+  const std::vector<ExprPtr> preds = {
+      ge5, not_lt5, gt5, lt5,
+      MakeBetween(c, lit(6), lit(20)),
+      MakeBinary(BinaryOp::kEq, c, lit(2)),
+      MakeBinary(BinaryOp::kNe, c, lit(2)),
+      MakeUnary(UnaryOp::kNot, MakeBetween(c, lit(0), lit(2))),
+      MakeBinary(BinaryOp::kOr,
+                 MakeUnary(UnaryOp::kNot, MakeBinary(BinaryOp::kGe, c, lit(1))),
+                 MakeBinary(BinaryOp::kGe, c, lit(12))),
+  };
+  for (bool typed : {true, false}) {
+    DatabaseOptions options;
+    options.typed_columns = typed;
+    Database db(options);
+    ASSERT_TRUE(db.CreateTable("t", schema).ok());
+    ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+    for (const ExprPtr& pred : preds) {
+      const std::string ctx =
+          pred->ToString() + (typed ? " typed" : " boxed");
+      std::vector<int64_t> expected;
+      for (const Tuple& row : rows) {
+        if (pred->Eval(row).IsTrue()) expected.push_back(row[1].AsInt());
+      }
+      const bool admits_nan = ExtractColumnRanges(*pred)->nans;
+      PlanPtr scan = MakeScan("t", schema, pred);
+      Executor scalar(&db), kernel(&db), index(&db);
+      scalar.set_vectorized(false);
+      scalar.set_range_index_mode(RangeIndexMode::kOff);
+      kernel.set_range_index_mode(RangeIndexMode::kOff);
+      index.set_range_index_mode(RangeIndexMode::kBuild);
+      for (Executor* exec : {&scalar, &kernel, &index}) {
+        auto out = exec->Execute(scan);
+        ASSERT_TRUE(out.ok()) << ctx;
+        std::vector<int64_t> ids;
+        for (const Tuple& row : out.value().rows) ids.push_back(row[1].AsInt());
+        EXPECT_EQ(ids, expected) << ctx;
+      }
+      // NaN-admitting predicates fall back from the index to filtering.
+      EXPECT_EQ(index.scan_stats().index_range_scans, admits_nan ? 0u : 1u)
+          << ctx;
+    }
+  }
 }
 
 TEST(RangeIndexTest, ExecutorRangeScanBitIdenticalToFullScan) {
