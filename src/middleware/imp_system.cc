@@ -306,22 +306,26 @@ SystemHealth ImpSystem::Health() {
     stats_.ingest_queue_peak =
         std::max(stats_.ingest_queue_peak, ingest_queue_->max_depth());
   }
-  // Refresh the snapshot-style stats fields from the same readings.
-  {
-    Database::IndexStatsSnapshot istats = db_->AggregateIndexStats();
-    Database::TypedColumnStats tstats = db_->AggregateTypedColumnStats();
-    std::lock_guard<std::mutex> stats(stats_mu_);
-    stats_.faults_injected = health.faults_injected;
-    stats_.dead_letter_size = health.dead_letter_size;
-    stats_.index_shards_built = istats.shards_built;
-    stats_.index_shards_reused = istats.shards_reused;
-    stats_.index_point_probes = istats.point_probes;
-    stats_.index_range_probes = istats.range_probes;
-    stats_.index_bytes = db_->IndexBytes();
-    stats_.typed_chunks = tstats.typed_chunks;
-    stats_.boxed_fallback_cells = tstats.boxed_fallback_cells;
-  }
+  RefreshSnapshotStats(health);
   return health;
+}
+
+void ImpSystem::RefreshSnapshotStats(const SystemHealth& health) {
+  // Every storage reading is taken before stats_mu_: the typed-column
+  // tally visits every chunk, and every query takes that mutex too.
+  Database::IndexStatsSnapshot istats = db_->AggregateIndexStats();
+  Database::TypedColumnStats tstats = db_->AggregateTypedColumnStats();
+  const size_t index_bytes = db_->IndexBytes();
+  std::lock_guard<std::mutex> stats(stats_mu_);
+  stats_.faults_injected = health.faults_injected;
+  stats_.dead_letter_size = health.dead_letter_size;
+  stats_.index_shards_built = istats.shards_built;
+  stats_.index_shards_reused = istats.shards_reused;
+  stats_.index_point_probes = istats.point_probes;
+  stats_.index_range_probes = istats.range_probes;
+  stats_.index_bytes = index_bytes;
+  stats_.typed_chunks = tstats.typed_chunks;
+  stats_.boxed_fallback_cells = tstats.boxed_fallback_cells;
 }
 
 Status ImpSystem::RepartitionTable(const std::string& table,
@@ -1438,18 +1442,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
             mstats.index_fallback_scans - items[i].index_fallback_before;
       }
     }
-    // Snapshot-style refresh of the backend's cumulative index counters —
-    // every round's probes/builds (delegated joins, side evaluations) are
-    // visible here without threading deltas through each maintainer.
-    Database::IndexStatsSnapshot istats = db_->AggregateIndexStats();
-    stats_.index_shards_built = istats.shards_built;
-    stats_.index_shards_reused = istats.shards_reused;
-    stats_.index_point_probes = istats.point_probes;
-    stats_.index_range_probes = istats.range_probes;
-    stats_.index_bytes = db_->IndexBytes();
-    Database::TypedColumnStats tstats = db_->AggregateTypedColumnStats();
-    stats_.typed_chunks = tstats.typed_chunks;
-    stats_.boxed_fallback_cells = tstats.boxed_fallback_cells;
     if (shared) {
       MaintenanceBatchStats bstats = batch.stats();
       stats_.delta_scans += bstats.delta_scans;

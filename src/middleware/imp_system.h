@@ -231,6 +231,13 @@ struct ImpSystemStats {
   // execution.
   size_t vectorized_batches = 0;
   size_t scalar_fallback_rows = 0;
+  // Snapshot-style fields: index_shards_*, index_*_probes, index_bytes,
+  // typed_chunks, boxed_fallback_cells, faults_injected and
+  // dead_letter_size are readings of backend/pipeline state, refreshed by
+  // Health() and never by a maintenance round — a round costs
+  // O(delta + sketches + tables), never O(rows) or O(index keys). Call
+  // Health() before reading them.
+  //
   // Snapshot-index roll-up (storage/snapshot_index; see README "Index
   // lifetime"). The shard counters are snapshot-style refreshes of the
   // backend's cumulative per-table TableIndexStats: built counts shard
@@ -261,7 +268,8 @@ struct ImpSystemStats {
                                    ///< touched table once per cycle)
   size_t ingest_batch_max = 0;     ///< largest statements-per-cycle drained
   double ingest_apply_seconds = 0; ///< worker time applying statements
-  // Fault-handling counters (Health() refreshes the snapshot-style ones).
+  // Fault-handling counters (faults_injected and dead_letter_size are
+  // snapshot-style, see above).
   size_t faults_injected = 0;       ///< failpoint fires since construction
   size_t maintenance_retries = 0;   ///< rounds re-attempting a previously
                                     ///< failed entry (post-backoff)
@@ -381,7 +389,7 @@ class ImpSystem {
   Status MaintainAll();
 
   /// Point-in-time pipeline health; also refreshes the snapshot-style
-  /// stats fields (faults_injected, dead_letter_size).
+  /// stats fields (see ImpSystemStats) — the only place they refresh.
   SystemHealth Health();
 
   /// Recapture every quarantined sketch from base tables and return it to
@@ -521,6 +529,8 @@ class ImpSystem {
   void StopIngestWorker();
   /// Milliseconds on the backoff clock (config.clock_ms or steady_clock).
   uint64_t NowMs() const;
+  /// Health()'s refresh of the snapshot-style stats fields.
+  void RefreshSnapshotStats(const SystemHealth& health);
   /// Worker pool for maintenance rounds, created on first use and reused
   /// across rounds (spawning/joining threads per round would dominate
   /// small rounds, especially under eager maintenance). Concurrent rounds

@@ -20,18 +20,17 @@ std::shared_ptr<const HashShard> HashShard::Build(const ColumnVector& column,
       shard->buckets_[column.GetValue(r)].push_back(r);
     }
   }
-  return shard;
-}
-
-size_t HashShard::MemoryBytes() const {
-  size_t bytes = sizeof(HashShard);
-  // Bucket-array + node overhead, approximated as one pointer-sized slot
-  // per bucket plus the node payloads.
-  bytes += buckets_.bucket_count() * sizeof(void*);
-  for (const auto& [v, rows] : buckets_) {
+  // Footprint, counted once: the container header (the cached count is
+  // bookkeeping, not index payload), bucket-array + node overhead
+  // approximated as one pointer-sized slot per bucket, and the node
+  // payloads.
+  size_t bytes = sizeof(shard->buckets_) +
+                 shard->buckets_.bucket_count() * sizeof(void*);
+  for (const auto& [v, rows] : shard->buckets_) {
     bytes += v.MemoryBytes() + sizeof(rows) + rows.capacity() * sizeof(uint32_t);
   }
-  return bytes;
+  shard->bytes_ = bytes;
+  return shard;
 }
 
 namespace {
@@ -57,7 +56,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
   shard->entries_.reserve(num_rows);
   switch (column.encoding()) {
     case ColumnVector::Encoding::kUntyped:
-      return shard;  // all NULL: nothing to index
+      break;  // all NULL: nothing to index
     case ColumnVector::Encoding::kInt64: {
       std::vector<std::pair<int64_t, uint32_t>> run;
       run.reserve(num_rows);
@@ -70,7 +69,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
       for (const auto& [v, r] : run) {
         shard->entries_.emplace_back(Value::Int(v), r);
       }
-      return shard;
+      break;
     }
     case ColumnVector::Encoding::kDouble: {
       std::vector<std::pair<double, uint32_t>> run;
@@ -85,7 +84,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
       for (const auto& [v, r] : run) {
         shard->entries_.emplace_back(Value::Double(v), r);
       }
-      return shard;
+      break;
     }
     case ColumnVector::Encoding::kDictString:
     case ColumnVector::Encoding::kFlatString: {
@@ -107,23 +106,32 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
       for (const auto& [v, r] : run) {
         shard->entries_.emplace_back(Value::String(std::string(v)), r);
       }
-      return shard;
-    }
-    case ColumnVector::Encoding::kBoxed:
       break;
+    }
+    case ColumnVector::Encoding::kBoxed: {
+      const std::vector<Value>& vals = column.boxed();
+      for (uint32_t r = 0; r < num_rows; ++r) {
+        if (vals[r].is_null()) continue;
+        if (vals[r].is_double() && std::isnan(vals[r].AsDouble())) continue;
+        shard->entries_.emplace_back(vals[r], r);
+      }
+      std::sort(shard->entries_.begin(), shard->entries_.end(),
+                [](const Entry& a, const Entry& b) {
+                  int c = a.first.Compare(b.first);
+                  if (c != 0) return c < 0;
+                  return a.second < b.second;
+                });
+      break;
+    }
   }
-  const std::vector<Value>& vals = column.boxed();
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    if (vals[r].is_null()) continue;
-    if (vals[r].is_double() && std::isnan(vals[r].AsDouble())) continue;
-    shard->entries_.emplace_back(vals[r], r);
+  // Footprint, counted once (container header as in HashShard::Build).
+  // The capacity term covers the inline Value; add only string heap bytes.
+  size_t bytes = sizeof(shard->entries_) +
+                 shard->entries_.capacity() * sizeof(Entry);
+  for (const Entry& e : shard->entries_) {
+    bytes += e.first.MemoryBytes() - sizeof(Value);
   }
-  std::sort(shard->entries_.begin(), shard->entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              int c = a.first.Compare(b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
+  shard->bytes_ = bytes;
   return shard;
 }
 
@@ -175,13 +183,6 @@ void SortedShard::CollectRange(const Value* lo, bool lo_inclusive,
   for (size_t i = first; i < last; ++i) rows->push_back(entries_[i].second);
   // Entries are value-ordered; emission must be row-ordered.
   std::sort(rows->begin() + base, rows->end());
-}
-
-size_t SortedShard::MemoryBytes() const {
-  size_t bytes = sizeof(SortedShard) + entries_.capacity() * sizeof(Entry);
-  // The capacity term covers the inline Value; add only string heap bytes.
-  for (const Entry& e : entries_) bytes += e.first.MemoryBytes() - sizeof(Value);
-  return bytes;
 }
 
 }  // namespace imp

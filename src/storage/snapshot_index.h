@@ -50,10 +50,13 @@ class HashShard {
     return it == buckets_.end() ? nullptr : &it->second;
   }
 
-  size_t MemoryBytes() const;
+  /// Footprint, counted once at the end of Build (the shard is immutable
+  /// from then on): O(1), however many keys the shard holds.
+  size_t MemoryBytes() const { return bytes_; }
 
  private:
   std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets_;
+  size_t bytes_ = 0;
 };
 
 /// Immutable per-chunk ordered run: (value, row) pairs sorted by
@@ -84,7 +87,8 @@ class SortedShard {
   /// Number of indexed (non-null) entries.
   size_t size() const { return entries_.size(); }
 
-  size_t MemoryBytes() const;
+  /// Footprint counted once at the end of Build; O(1).
+  size_t MemoryBytes() const { return bytes_; }
 
  private:
   using Entry = std::pair<Value, uint32_t>;
@@ -93,6 +97,7 @@ class SortedShard {
                                  const Value* hi, bool hi_inclusive) const;
 
   std::vector<Entry> entries_;
+  size_t bytes_ = 0;
 };
 
 }  // namespace imp

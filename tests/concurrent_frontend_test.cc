@@ -680,5 +680,104 @@ TEST(ConcurrentFrontendTest, TruncationSkipsEmptyStoreAndUnsketchedRuns) {
   EXPECT_EQ(system.stats().log_truncations, 0u);
 }
 
+
+// ---- Snapshot-style stats: refreshed by Health(), never by a round ---------
+
+TEST(ConcurrentFrontendTest, SnapshotStatsRefreshOnlyInHealth) {
+  // A thread polls Health() while eager rounds of a join sketch (whose
+  // delegated join probes h's point index) race an insert stream and a
+  // range delete on t. Once drained, one Health() must leave every
+  // snapshot-style field equal to the backend's own readings, batch_rounds
+  // must have advanced exactly once per eager round, and a later round
+  // must leave those fields alone.
+  Database db;
+  JoinPairSpec spec;
+  spec.left_name = "t";
+  spec.right_name = "h";
+  spec.distinct_keys = 200;
+  spec.left_per_key = 2;
+  spec.right_per_key = 2;
+  spec.selectivity = 0.5;
+  ASSERT_TRUE(CreateJoinPair(&db, spec).ok());
+  constexpr size_t kEagerBatch = 4;
+  constexpr size_t kStatements = 40;  // 39 inserts + 1 range delete
+  ImpConfig config;
+  config.mode = ExecutionMode::kIncremental;
+  config.strategy = MaintenanceStrategy::kEager;
+  config.eager_batch_size = kEagerBatch;
+  config.async_ingestion = true;
+  config.ingest_queue_capacity = kStatements + kEagerBatch;
+  ImpSystem system(&db, config);
+  ASSERT_TRUE(system
+                  .RegisterPartition(
+                      RangePartition::EquiWidthInt("t", "a", 1, 0, 199, 10))
+                  .ok());
+  const std::string sql =
+      "SELECT a, sum(b) AS s FROM t JOIN h ON (a = ttid) "
+      "GROUP BY a HAVING sum(b) > 0";
+  ASSERT_TRUE(system.Query(sql).ok());
+  const size_t rounds_before = system.stats().batch_rounds;
+
+  Rng rng(5);
+  int64_t next_id =
+      static_cast<int64_t>(spec.distinct_keys * spec.left_per_key);
+  auto insert = [&] {
+    BoundUpdate update;
+    update.kind = BoundUpdate::Kind::kInsert;
+    update.table = "t";
+    update.rows.push_back(
+        JoinLeftRow(spec, next_id++, rng.UniformInt(0, 199), &rng));
+    ASSERT_TRUE(system.UpdateBound(update).ok());
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> polls{0};
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(system.Health().ingest_worker_alive);
+      polls.fetch_add(1, std::memory_order_release);
+    }
+  });
+  for (size_t k = 0; k + 1 < kStatements; ++k) {
+    if (k == kStatements / 2) {
+      ASSERT_TRUE(
+          system.Update("DELETE FROM t WHERE id >= 10 AND id < 30").ok());
+    }
+    insert();
+  }
+  ASSERT_TRUE(system.WaitForIngest().ok());
+  while (polls.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  poller.join();
+
+  system.Health();
+  const ImpSystemStats& stats = system.stats();
+  const Database::IndexStatsSnapshot istats = db.AggregateIndexStats();
+  const Database::TypedColumnStats tstats = db.AggregateTypedColumnStats();
+  EXPECT_EQ(stats.index_shards_built, istats.shards_built);
+  EXPECT_EQ(stats.index_shards_reused, istats.shards_reused);
+  EXPECT_EQ(stats.index_point_probes, istats.point_probes);
+  EXPECT_EQ(stats.index_range_probes, istats.range_probes);
+  EXPECT_EQ(stats.index_bytes, db.IndexBytes());
+  EXPECT_EQ(stats.typed_chunks, tstats.typed_chunks);
+  EXPECT_EQ(stats.boxed_fallback_cells, tstats.boxed_fallback_cells);
+  // The readings are live, not zeros that happen to agree.
+  EXPECT_GT(stats.index_point_probes, 0u);
+  EXPECT_GT(stats.index_bytes, 0u);
+  EXPECT_GT(stats.typed_chunks, 0u);
+  EXPECT_EQ(stats.batch_rounds - rounds_before, kStatements / kEagerBatch);
+
+  // One more eager round probes the index again; only Health() reports it.
+  const size_t probes_reported = stats.index_point_probes;
+  for (size_t k = 0; k < kEagerBatch; ++k) insert();
+  ASSERT_TRUE(system.WaitForIngest().ok());
+  EXPECT_EQ(stats.batch_rounds - rounds_before,
+            kStatements / kEagerBatch + 1);
+  ASSERT_GT(db.AggregateIndexStats().point_probes, probes_reported);
+  EXPECT_EQ(stats.index_point_probes, probes_reported);
+  system.Health();
+  EXPECT_EQ(stats.index_point_probes, db.AggregateIndexStats().point_probes);
+}
+
 }  // namespace
 }  // namespace imp

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <functional>
 #include <random>
 #include <thread>
+#include <unordered_map>
 
 #include "common/hash.h"
 #include "storage/database.h"
@@ -611,6 +614,116 @@ TEST(SnapshotIndexTest, ConcurrentLazyBuildsRacingPublications) {
   ASSERT_FALSE(s2->IndexProbe(0, Value::Int(3)).empty());
   ASSERT_FALSE(s2->IndexRangeProbe(0, Value::Int(3), Value::Int(5)).empty());
   EXPECT_GT(istats.shards_reused.load(), reused_before);
+}
+
+// ---- Cached shard footprint ------------------------------------------------
+
+/// HashShard's footprint walked in the test: the same map operations as
+/// HashShard::Build give the same bucket array and row-vector capacities.
+size_t WalkHashShardBytes(const ColumnVector& col, size_t n) {
+  std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
+  buckets.reserve(n);
+  for (uint32_t r = 0; r < n; ++r) buckets[col.GetValue(r)].push_back(r);
+  size_t bytes = sizeof(buckets) + buckets.bucket_count() * sizeof(void*);
+  for (const auto& [v, rows] : buckets) {
+    bytes += v.MemoryBytes() + sizeof(rows) +
+             rows.capacity() * sizeof(uint32_t);
+  }
+  return bytes;
+}
+
+/// SortedShard's footprint walked in the test: Build reserves one entry
+/// per row and keeps the non-NULL, non-NaN values, each adding its string
+/// heap bytes.
+size_t WalkSortedShardBytes(const ColumnVector& col, size_t n) {
+  using Entry = std::pair<Value, uint32_t>;
+  size_t bytes = sizeof(std::vector<Entry>) + n * sizeof(Entry);
+  for (uint32_t r = 0; r < n; ++r) {
+    Value v = col.GetValue(r);
+    if (v.is_null() || (v.is_double() && std::isnan(v.AsDouble()))) continue;
+    bytes += v.MemoryBytes() - sizeof(Value);
+  }
+  return bytes;
+}
+
+TEST(SnapshotIndexTest, CachedShardFootprintEqualsWalk) {
+  const std::string long_prefix(48, 'x');  // beyond the small-string buffer
+  struct Case {
+    const char* name;
+    ColumnVector::Encoding encoding;
+    std::function<Value(int)> cell;
+  };
+  const std::vector<Case> cases = {
+      {"typed int", ColumnVector::Encoding::kInt64,
+       [](int i) { return i % 11 == 0 ? Value::Null() : Value::Int(i % 37); }},
+      {"double with NaN", ColumnVector::Encoding::kDouble,
+       [](int i) {
+         if (i % 13 == 0) return Value::Null();
+         if (i % 7 == 0) return Value::Double(std::nan(""));
+         return Value::Double((i % 41) / 4.0);
+       }},
+      {"long dict strings", ColumnVector::Encoding::kDictString,
+       [&](int i) {
+         return Value::String(long_prefix + std::to_string(i % 16));
+       }},
+      {"long flat strings", ColumnVector::Encoding::kFlatString,
+       [&](int i) {
+         return i % 9 == 0 ? Value::Null()
+                           : Value::String(long_prefix + std::to_string(i));
+       }},
+      {"all NULL", ColumnVector::Encoding::kUntyped,
+       [](int) { return Value::Null(); }},
+      {"boxed mixed int/double", ColumnVector::Encoding::kBoxed,
+       [](int i) {
+         if (i % 17 == 0) return Value::Null();
+         return i % 2 == 0 ? Value::Int(i % 23) : Value::Double(i % 19 + 0.5);
+       }},
+  };
+  const size_t n = 700;
+  for (const Case& c : cases) {
+    ColumnVector col(/*typed=*/true);
+    for (size_t i = 0; i < n; ++i) col.Append(c.cell(static_cast<int>(i)));
+    ASSERT_EQ(col.encoding(), c.encoding) << c.name;
+    EXPECT_EQ(HashShard::Build(col, n)->MemoryBytes(),
+              WalkHashShardBytes(col, n))
+        << c.name;
+    EXPECT_EQ(SortedShard::Build(col, n)->MemoryBytes(),
+              WalkSortedShardBytes(col, n))
+        << c.name;
+  }
+}
+
+TEST(SnapshotIndexTest, IndexBytesCarryForwardChangesOnlyTheTail) {
+  // A 1-row append publishes a snapshot that shares every sealed chunk
+  // (and its shards) and COW-clones the tail: Database::IndexBytes moves
+  // by the tail's shards and nothing else.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+  std::vector<Tuple> rows;
+  const int64_t n = static_cast<int64_t>(DataChunk::kDefaultCapacity) * 2 + 100;
+  for (int64_t i = 0; i < n; ++i) rows.push_back(Row(i % 97, i));
+  ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+  auto probe = [](const TableSnapshot& snap) {
+    ASSERT_FALSE(snap.IndexProbe(0, Value::Int(5)).empty());
+    ASSERT_FALSE(
+        snap.IndexRangeProbe(1, Value::Int(0), Value::Int(50)).empty());
+  };
+  auto s1 = db.GetTable("t")->Snapshot();
+  probe(*s1);
+  const size_t before = db.IndexBytes();
+
+  ASSERT_TRUE(db.Insert("t", {Row(5, -1)}).ok());
+  auto s2 = db.GetTable("t")->Snapshot();
+  probe(*s2);
+  const size_t after = db.IndexBytes();
+
+  ASSERT_EQ(s1->chunks().size(), s2->chunks().size());
+  for (size_t c = 0; c + 1 < s1->chunks().size(); ++c) {
+    EXPECT_EQ(s1->chunks()[c], s2->chunks()[c]) << "chunk " << c;
+  }
+  ASSERT_NE(s1->chunks().back(), s2->chunks().back());
+  EXPECT_EQ(after - s2->chunks().back()->IndexBytes(),
+            before - s1->chunks().back()->IndexBytes());
 }
 
 // ---- Typed columnar layout (storage/column_vector) --------------------------
