@@ -15,9 +15,12 @@
 //      legacy boxed Value layout (twin databases, identical rows), plus
 //      batch join-key hashing off the typed arrays, and the sketch_filter
 //      rows: the kernel on SketchScanPredicate output at 1, 20 and 50
-//      runs. Bit-identicality across layouts (for sketch_filter, to
-//      Expr::Eval) and typed-chunk engagement are HARD-GATED; results merge
-//      into BENCH_PR10.json.
+//      runs; plus the capture / load rows: a filtered aggregate's capture
+//      column-wise vs on the row path, and BulkLoad vs row-at-a-time
+//      appends. Bit-identicality across layouts (for sketch_filter, to
+//      Expr::Eval; for the capture, SerializeState() against the row path;
+//      for the load, the chunks) and typed-chunk engagement are
+//      HARD-GATED; results merge into BENCH_PR10.json.
 //
 //   3. google-benchmark per-operator scaling checks matching the
 //      complexity analysis of Sec. 5.3 — O(n) stateless operators, O(n·p)
@@ -43,6 +46,7 @@
 #include "imp/inc_aggregate.h"
 #include "imp/inc_operators.h"
 #include "imp/inc_topk.h"
+#include "imp/maintainer.h"
 #include "sketch/partition.h"
 #include "sketch/use_rewrite.h"
 #include "workload/synthetic.h"
@@ -344,6 +348,116 @@ int AddSketchFilterRows(const Database& db_typed, const Database& db_boxed,
   return 0;
 }
 
+/// Capture and load rows: a filtered aggregate's capture (Maintainer::
+/// Initialize of Aggregate(Select(Scan)), the shape of perfbench's
+/// filter_max template) built column-wise vs on the row path
+/// (typed_columns = false), and Database::BulkLoad (one run append per
+/// chunk) vs row-at-a-time Table::AppendRow. HARD-GATED: the columnar
+/// capture engages and its SerializeState() equals the row path's byte for
+/// byte on both table layouts, and the bulk-loaded chunks equal the
+/// row-at-a-time ones (boundaries, encodings, footprint, zone maps, cells).
+/// No timing is gated.
+int AddCaptureRows(const Database& db_typed, const Database& db_boxed,
+                   const PartitionCatalog& catalog, bench::JsonReport* report) {
+  bench::SeriesTable table("capture / load",
+                           {"row path Mrows/s", "columnar Mrows/s", "speedup"});
+  const Schema schema = db_typed.GetTable("t")->schema();
+  auto col = [&](size_t c) {
+    return MakeColumnRef(c, schema.column(c).name, schema.column(c).type);
+  };
+  // SELECT a, max(e), sum(b), count(*) FROM t WHERE d < 375 GROUP BY a
+  PlanPtr plan = MakeAggregate(
+      MakeSelect(MakeScan("t", schema),
+                 MakeBinary(BinaryOp::kLt, col(4),
+                            MakeLiteral(Value::Int(375)))),
+      {col(1)}, {"a"},
+      {{AggFunc::kMax, col(5), "m"},
+       {AggFunc::kSum, col(2), "s"},
+       {AggFunc::kCount, nullptr, "n"}});
+  auto capture = [&](const Database& db, bool columnar, std::string* state) {
+    MaintainerOptions opts;
+    opts.typed_columns = columnar;
+    Maintainer m(&db, &catalog, plan, opts);
+    IMP_CHECK(m.Initialize().ok());
+    if (state != nullptr) *state = m.SerializeState();
+    return m.stats().columnar_builds;
+  };
+  for (const Database* db : {&db_typed, &db_boxed}) {
+    std::string columnar_state, row_state;
+    if (capture(*db, true, &columnar_state) != 1) {
+      return Fail10("capture: columnar build did not engage");
+    }
+    capture(*db, false, &row_state);
+    if (columnar_state != row_state) {
+      return Fail10("capture: columnar state differs from the row path");
+    }
+  }
+  const double rows =
+      static_cast<double>(db_typed.GetTable("t")->Snapshot()->num_rows());
+  const double t_columnar =
+      bench::MedianSeconds([&] { capture(db_typed, true, nullptr); });
+  const double t_row =
+      bench::MedianSeconds([&] { capture(db_typed, false, nullptr); });
+  table.AddRow("filtered_agg_capture",
+               {rows / t_row / 1e6, rows / t_columnar / 1e6, t_row / t_columnar});
+  report->Add("capture", "rows_per_sec_row_path", rows / t_row);
+  report->Add("capture", "rows_per_sec_columnar", rows / t_columnar);
+  report->Add("capture", "speedup", t_row / t_columnar);
+
+  // Load: the table's rows again, into fresh tables both ways.
+  std::vector<Tuple> load_rows;
+  db_typed.GetTable("t")->Snapshot()->ForEachRow(
+      [&](const Tuple& row) { load_rows.push_back(row); });
+  auto bulk = [&] {
+    auto db = std::make_unique<Database>();
+    IMP_CHECK(db->CreateTable("t", schema).ok());
+    IMP_CHECK(db->BulkLoad("t", load_rows).ok());
+    return db;
+  };
+  auto row_at_a_time = [&] {
+    auto t = std::make_unique<Table>("t", schema);
+    for (const Tuple& row : load_rows) t->AppendRow(row);
+    t->PublishSnapshot();
+    return t;
+  };
+  {
+    auto db = bulk();
+    auto t = row_at_a_time();
+    const auto& a = db->GetTable("t")->Snapshot()->chunks();
+    const auto& b = t->Snapshot()->chunks();
+    if (a.size() != b.size()) return Fail10("bulk load: chunk count differs");
+    for (size_t c = 0; c < a.size(); ++c) {
+      if (a[c]->num_rows() != b[c]->num_rows() ||
+          a[c]->MemoryBytes() != b[c]->MemoryBytes()) {
+        return Fail10("bulk load: chunk boundary or footprint differs");
+      }
+      for (size_t k = 0; k < schema.size(); ++k) {
+        const DataChunk::ZoneEntry za = a[c]->zone(k), zb = b[c]->zone(k);
+        if (a[c]->column(k).encoding() != b[c]->column(k).encoding() ||
+            za.valid != zb.valid || za.nan != zb.nan ||
+            (za.valid && !(za.min == zb.min && za.max == zb.max))) {
+          return Fail10("bulk load: encoding or zone map differs");
+        }
+      }
+      for (size_t r = 0; r < a[c]->num_rows(); ++r) {
+        if (!(a[c]->GetRow(r) == b[c]->GetRow(r))) {
+          return Fail10("bulk load: cell differs");
+        }
+      }
+    }
+  }
+  const double lrows = static_cast<double>(load_rows.size());
+  const double t_bulk = bench::MedianSeconds([&] { bulk(); });
+  const double t_rows = bench::MedianSeconds([&] { row_at_a_time(); });
+  table.AddRow("bulk_load",
+               {lrows / t_rows / 1e6, lrows / t_bulk / 1e6, t_rows / t_bulk});
+  report->Add("bulk_load", "rows_per_sec_row_at_a_time", lrows / t_rows);
+  report->Add("bulk_load", "rows_per_sec_bulk", lrows / t_bulk);
+  report->Add("bulk_load", "speedup", t_rows / t_bulk);
+  table.Print();
+  return 0;
+}
+
 /// The PR 10 typed-column smoke: the same operators measured over the typed
 /// ColumnVector chunk layout vs the legacy boxed layout (twin databases,
 /// identical rows, vectorized kernels on in BOTH — the comparison isolates
@@ -550,6 +664,9 @@ int RunPr10Smoke() {
   if (int rc = AddSketchFilterRows(db_typed, db_boxed,
                                    static_cast<int64_t>(spec.num_groups) - 1,
                                    &table, &report)) {
+    return rc;
+  }
+  if (int rc = AddCaptureRows(db_typed, db_boxed, catalog, &report)) {
     return rc;
   }
 

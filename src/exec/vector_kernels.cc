@@ -809,11 +809,13 @@ size_t PredicateKernel::num_range_sets() const {
 
 void PredicateKernel::Eval(const RowBlock& block, BitVector* sel,
                            size_t* vectorized_batches,
-                           size_t* scalar_fallback_rows) const {
+                           size_t* scalar_fallback_rows,
+                           const BitVector* within) const {
   const size_t n = block.num_rows();
   *sel = BitVector(n);
   if (!expr_) {
     sel->SetAll();
+    if (within) sel->IntersectWith(*within);
     return;
   }
   if (root_) {
@@ -822,6 +824,7 @@ void PredicateKernel::Eval(const RowBlock& block, BitVector* sel,
   } else {
     sel->SetAll();
   }
+  if (within) sel->IntersectWith(*within);
   if (!scalar_) return;
 
   // Scalar remainder on surviving rows only. For columnar blocks only the

@@ -142,9 +142,13 @@ class PredicateKernel {
   /// of exactly block.num_rows() bits with bit i == expr->Eval(row_i)
   /// .IsTrue(). Counts one vectorized batch per call when a compiled part
   /// ran, and one scalar-fallback row per row the remainder inspected
-  /// (null counters are skipped).
+  /// (null counters are skipped). With `within` (block.num_rows() bits),
+  /// only rows set there can be selected, and the scalar remainder never
+  /// evaluates another row — a chain of selections evaluates each one on
+  /// the rows the ones before it kept.
   void Eval(const RowBlock& block, BitVector* sel, size_t* vectorized_batches,
-            size_t* scalar_fallback_rows) const;
+            size_t* scalar_fallback_rows,
+            const BitVector* within = nullptr) const;
 
  private:
   ExprPtr expr_;                      ///< original predicate (null => pass-all)

@@ -94,6 +94,9 @@ struct MaintainStats {
   // pass-through / indexed joins disabled). Feed for the cost model: a
   // high count means the O(rows) path is running every round.
   size_t index_fallback_scans = 0;
+  // Aggregate builds (captures) served column-at-a-time off the chunks
+  // (IncAggregate::TryBuildColumnar) instead of from materialized rows.
+  size_t columnar_builds = 0;
 
   void Reset() { *this = MaintainStats{}; }
 };

@@ -162,11 +162,19 @@ Status IncAggregate::ApplyRow(GroupState* state, const Tuple& row,
   if (state->count < 0) {
     return Status::NeedsRecapture("group multiplicity went negative");
   }
-  for (size_t bit : sketch.SetBits()) {
-    int64_t& c = state->frag_counts[bit];
-    c += mult;
-    if (c < 0) return Status::NeedsRecapture("fragment count went negative");
-    if (c == 0) state->frag_counts.erase(bit);
+  bool negative = false;
+  sketch.ForEachSetBit([&](size_t bit) {
+    if (negative) return;
+    auto it = state->frag_counts.try_emplace(bit, 0).first;
+    it->second += mult;
+    if (it->second < 0) {
+      negative = true;
+    } else if (it->second == 0) {
+      state->frag_counts.erase(it);
+    }
+  });
+  if (negative) {
+    return Status::NeedsRecapture("fragment count went negative");
   }
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& spec = aggs_[i];
@@ -245,12 +253,25 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
     // A general expression argument needs the materialized row.
     if (agg_cols_[i] < 0 && aggs_[i].arg) return false;
   }
-  const IncScan* scan = children_[0]->AsIncScan();
+  // Source: a vectorized scan under zero or more vectorized selections.
+  std::vector<const IncSelect*> selects;  // outermost first
+  const IncOperator* node = children_[0].get();
+  while (const IncSelect* select = node->AsIncSelect()) {
+    selects.push_back(select);
+    node = select->children()[0].get();
+  }
+  const IncScan* scan = node->AsIncScan();
   if (scan == nullptr) return false;
   std::shared_ptr<const TableSnapshot> pinned;
   const TableSnapshot* snap = nullptr;
   TableAnnotator annot;
-  if (!scan->ColumnarSource(ctx, &pinned, &snap, &annot)) return false;
+  ChunkSelector selector;
+  if (!scan->ColumnarSource(ctx, &pinned, &snap, &annot, &selector)) {
+    return false;
+  }
+  for (auto it = selects.rbegin(); it != selects.rend(); ++it) {
+    if (!(*it)->AddToSelector(&selector)) return false;
+  }
 
   groups_.clear();
   // Unboxed fragment bounds: same raw-int64 upper_bound fast path as
@@ -302,9 +323,11 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
     const double* dv = nullptr;
   };
 
+  BitVector sel;
   for (const auto& chunk : snap->chunks()) {
-    const size_t n = chunk->num_rows();
-    if (n == 0) continue;
+    if (chunk->num_rows() == 0) continue;
+    // Rows of the chunk that pass the selections, in row order.
+    if (!selector.Select(*chunk, &sel, stats_)) continue;
     // Group-key access: a single int64-encoded key column gets a raw-value
     // side map; anything else builds the key tuple from reboxed cells.
     const ColumnVector* kcol = nullptr;
@@ -348,7 +371,12 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
           break;
       }
     }
-    for (size_t i = 0; i < n; ++i) {
+    // Fold the selected rows in row order — the order the row path's
+    // scan and selections deliver them, so groups are inserted and
+    // accumulated identically.
+    Status status;
+    sel.ForEachSetBit([&](size_t i) {
+      if (!status.ok()) return;
       GroupRef* ref;
       if (kcol != nullptr && !kcol->IsNull(i)) {
         auto [sit, fresh] = int_groups.try_emplace(kcol->ints()[i]);
@@ -388,7 +416,7 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
           ref->cached_count = &c;
         }
       }
-      for (size_t a = 0; a < plans.size(); ++a) {
+      for (size_t a = 0; a < plans.size() && status.ok(); ++a) {
         const AggPlan& p = plans[a];
         AggState& agg = g->aggs[a];
         switch (p.mode) {
@@ -413,17 +441,16 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
             break;
           case AggMode::kGeneric: {
             Value v = p.cv != nullptr ? p.cv->GetValue(i) : Value::Int(1);
-            if (!v.is_null()) {
-              Status st = ApplyAggValue(&agg, aggs_[a], v, 1);
-              IMP_RETURN_NOT_OK(st);
-            }
+            if (!v.is_null()) status = ApplyAggValue(&agg, aggs_[a], v, 1);
             break;
           }
         }
       }
-    }
+    });
+    IMP_RETURN_NOT_OK(status);
   }
   *result = FinalizeBuildOutput();
+  if (stats_ != nullptr) ++stats_->columnar_builds;
   return true;
 }
 

@@ -89,13 +89,15 @@ class IncAggregate final : public IncOperator {
   Status ApplyAggValue(AggState* agg, const AggSpec& spec, const Value& v,
                        int64_t mult);
   /// Columnar Build fast path (options_.kernelized): when the child is a
-  /// filterless vectorized scan and every group key / aggregate argument is
-  /// a plain column, aggregate straight off the chunk columns — unboxed
-  /// int64/double inner loops, raw-bounds fragment counting, no per-row
-  /// Tuple or sketch materialization. Group state, insertion order and
-  /// output are bit-identical to the row path by construction. Returns
-  /// false (with `result` untouched) when the plan shape or the source does
-  /// not qualify.
+  /// vectorized scan under zero or more vectorized selections and every
+  /// group key / aggregate argument is a plain column, aggregate straight
+  /// off the chunk columns. Per chunk a ChunkSelector (zone maps, then the
+  /// compiled kernels) yields the selected rows; the fold over them runs
+  /// unboxed int64/double inner loops and raw-bounds fragment counting,
+  /// with no per-row Tuple or sketch materialization. Group state,
+  /// insertion order and output are bit-identical to the row path by
+  /// construction. Returns false (with `result` untouched) when the plan
+  /// shape or the source does not qualify.
   Result<bool> TryBuildColumnar(const DeltaContext& ctx,
                                 AnnotatedRelation* result);
   /// Shared Build tail: the no-GROUP-BY empty group plus output emission.

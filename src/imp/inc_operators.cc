@@ -1,7 +1,7 @@
 #include "imp/inc_operators.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "exec/zone_filter.h"
 #include "sketch/partition.h"
@@ -43,11 +43,33 @@ IncScan::IncScan(std::string table, ExprPtr filter, const Database* db,
   if (vectorized_ && filter_) kernel_ = PredicateKernel::Compile(filter_);
 }
 
+bool ChunkSelector::Select(const DataChunk& chunk, BitVector* sel,
+                           MaintainStats* stats) const {
+  for (const Step& step : steps_) {
+    if (!ChunkMayMatch(*step.predicate, chunk)) return false;
+  }
+  if (steps_.empty()) {
+    *sel = BitVector(chunk.num_rows());
+    sel->SetAll();
+    return true;
+  }
+  const RowBlock block = RowBlock::FromChunk(chunk);
+  size_t* batches = stats ? &stats->vectorized_batches : nullptr;
+  size_t* fallback = stats ? &stats->scalar_fallback_rows : nullptr;
+  steps_[0].kernel->Eval(block, sel, batches, fallback);
+  BitVector next;
+  for (size_t k = 1; k < steps_.size(); ++k) {
+    steps_[k].kernel->Eval(block, &next, batches, fallback, /*within=*/sel);
+    std::swap(*sel, next);
+  }
+  return true;
+}
+
 bool IncScan::ColumnarSource(const DeltaContext& ctx,
                              std::shared_ptr<const TableSnapshot>* pinned,
-                             const TableSnapshot** snap,
-                             TableAnnotator* annot) const {
-  if (filter_ != nullptr || !vectorized_) return false;
+                             const TableSnapshot** snap, TableAnnotator* annot,
+                             ChunkSelector* selector) const {
+  if (!vectorized_) return false;
   const TableSnapshot* s = ctx.view ? ctx.view->Find(table_) : nullptr;
   if (s == nullptr) {
     const Table* table = db_->GetTable(table_);
@@ -57,6 +79,7 @@ bool IncScan::ColumnarSource(const DeltaContext& ctx,
   }
   *snap = s;
   *annot = catalog_->ResolveAnnotator(table_);
+  if (filter_) selector->Add(filter_, &kernel_);
   return true;
 }
 
@@ -97,12 +120,11 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
     // in row order (bit-identical to a GetRow-per-set-bit loop). No
     // table-sized reserve: a selective filter should not allocate a
     // table-sized row vector, and AnnotatedRow moves are pointer swaps.
+    ChunkSelector selector;
+    if (filter_) selector.Add(filter_, &kernel_);
     for (const auto& chunk : snap->chunks()) {
-      if (filter_ && !ChunkMayMatch(*filter_, *chunk)) continue;
       BitVector sel;
-      kernel_.Eval(RowBlock::FromChunk(*chunk), &sel,
-                   stats_ ? &stats_->vectorized_batches : nullptr,
-                   stats_ ? &stats_->scalar_fallback_rows : nullptr);
+      if (!selector.Select(*chunk, &sel, stats_)) continue;
       std::vector<Tuple> gathered = chunk->GatherRows(sel);
       const ColumnVector* pcol = nullptr;
       if (!int_bounds.empty()) {
@@ -188,6 +210,12 @@ IncSelect::IncSelect(std::unique_ptr<IncOperator> child, ExprPtr predicate,
       stats_(stats),
       vectorized_(vectorized) {
   if (vectorized_) kernel_ = PredicateKernel::Compile(predicate_);
+}
+
+bool IncSelect::AddToSelector(ChunkSelector* selector) const {
+  if (!vectorized_) return false;
+  selector->Add(predicate_, &kernel_);
+  return true;
 }
 
 Result<AnnotatedRelation> IncSelect::Build(const DeltaContext& ctx) {
@@ -301,28 +329,36 @@ Result<DeltaBatch> IncProject::Process(const DeltaContext& ctx) {
 void IncMerge::Build(const AnnotatedRelation& result) {
   std::fill(counters_.begin(), counters_.end(), 0);
   for (const AnnotatedRow& r : result.rows) {
-    for (size_t bit : r.sketch.SetBits()) {
+    r.sketch.ForEachSetBit([&](size_t bit) {
       if (bit >= counters_.size()) counters_.resize(bit + 1, 0);
       ++counters_[bit];
-    }
+    });
   }
 }
 
 SketchDelta IncMerge::Process(const DeltaBatch& batch) {
-  // Snapshot the pre-batch counts of touched fragments, apply the whole
-  // batch, then emit one transition per fragment (Sec. 5.1: zero -> nonzero
-  // inserts the fragment, nonzero -> zero removes it).
-  std::map<size_t, int64_t> before;
+  // Apply the whole batch, logging (fragment, mult) per touched bit, then
+  // emit one transition per fragment (Sec. 5.1: zero -> nonzero inserts
+  // the fragment, nonzero -> zero removes it). A fragment's pre-batch
+  // count is its final count minus the sum of its logged mults.
+  std::vector<std::pair<size_t, int64_t>> touched;
   batch.ForEachRow([&](const AnnotatedDeltaRow& r) {
-    for (size_t bit : r.sketch.SetBits()) {
+    r.sketch.ForEachSetBit([&](size_t bit) {
       if (bit >= counters_.size()) counters_.resize(bit + 1, 0);
-      before.emplace(bit, counters_[bit]);
       counters_[bit] += r.mult;
-    }
+      touched.emplace_back(bit, r.mult);
+    });
   });
+  std::sort(touched.begin(), touched.end());
   SketchDelta out;
-  for (const auto& [bit, old_count] : before) {
-    int64_t new_count = counters_[bit];
+  for (size_t i = 0; i < touched.size();) {
+    const size_t bit = touched[i].first;
+    int64_t net = 0;
+    for (; i < touched.size() && touched[i].first == bit; ++i) {
+      net += touched[i].second;
+    }
+    const int64_t new_count = counters_[bit];
+    const int64_t old_count = new_count - net;
     IMP_CHECK_MSG(new_count >= 0, "negative merge counter");
     if (old_count == 0 && new_count != 0) out.added.push_back(bit);
     if (old_count != 0 && new_count == 0) out.removed.push_back(bit);

@@ -19,6 +19,34 @@
 namespace imp {
 
 class IncScan;
+class IncSelect;
+
+/// The selections between a columnar consumer and its scan, applied a
+/// chunk at a time: every predicate's zone-map check (ChunkMayMatch)
+/// first, then each compiled kernel over the chunk's columns, innermost
+/// first and each on the rows the ones before it kept. The selected rows
+/// are exactly those the row-at-a-time chain would pass, in row order.
+class ChunkSelector {
+ public:
+  /// Append a predicate above the ones already added. Both must outlive
+  /// the selector.
+  void Add(const ExprPtr& predicate, const PredicateKernel* kernel) {
+    steps_.push_back(Step{predicate.get(), kernel});
+  }
+
+  /// `*sel` gets one bit per row of `chunk`, set iff the row passes every
+  /// predicate. False (and `*sel` untouched) when a zone map rules out
+  /// every row. Kernel work is counted into `stats` when given.
+  bool Select(const DataChunk& chunk, BitVector* sel,
+              MaintainStats* stats) const;
+
+ private:
+  struct Step {
+    const Expr* predicate;
+    const PredicateKernel* kernel;
+  };
+  std::vector<Step> steps_;
+};
 
 /// Base class of incremental operators. Each operator mirrors one plan node;
 /// Process consumes the children's deltas (driven by the operator itself)
@@ -27,10 +55,12 @@ class IncOperator {
  public:
   virtual ~IncOperator() = default;
 
-  /// Columnar hand-off hook: the scan leaf returns itself so a kernelized
-  /// parent (e.g. IncAggregate) can read typed chunk columns directly
-  /// instead of consuming materialized rows. Everything else: nullptr.
+  /// Columnar hand-off hooks: the scan leaf and the selections return
+  /// themselves so a kernelized parent (e.g. IncAggregate) can read typed
+  /// chunk columns directly instead of consuming materialized rows.
+  /// Everything else: nullptr.
   virtual const IncScan* AsIncScan() const { return nullptr; }
+  virtual const IncSelect* AsIncSelect() const { return nullptr; }
 
   /// Initialize state from the operator's current (annotated) input and
   /// return the operator's current output — used when a sketch is captured
@@ -82,16 +112,16 @@ class IncScan final : public IncOperator {
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;
   const IncScan* AsIncScan() const override { return this; }
 
-  /// Columnar hand-off for a filterless vectorized scan: pin the round's
-  /// snapshot (`*pinned` keeps it alive when the context has no view) and
-  /// resolve the table's annotator, so a kernelized parent can aggregate
-  /// straight off the chunk columns. False when this scan has a filter,
-  /// is not vectorized, or the table does not exist — callers then fall
-  /// back to the row-at-a-time Build contract.
+  /// Columnar hand-off for a vectorized scan: pin the round's snapshot
+  /// (`*pinned` keeps it alive when the context has no view), resolve the
+  /// table's annotator and add the scan filter, if any, to `selector`, so
+  /// a kernelized parent can aggregate straight off the chunk columns.
+  /// False when this scan is not vectorized or the table does not exist —
+  /// callers then fall back to the row-at-a-time Build contract.
   bool ColumnarSource(const DeltaContext& ctx,
                       std::shared_ptr<const TableSnapshot>* pinned,
-                      const TableSnapshot** snap,
-                      TableAnnotator* annot) const;
+                      const TableSnapshot** snap, TableAnnotator* annot,
+                      ChunkSelector* selector) const;
 
  private:
   std::string table_;
@@ -112,6 +142,11 @@ class IncSelect final : public IncOperator {
 
   Result<AnnotatedRelation> Build(const DeltaContext& ctx) override;
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;
+  const IncSelect* AsIncSelect() const override { return this; }
+
+  /// Columnar hand-off: add this selection to `selector`. False when the
+  /// selection is not vectorized (no compiled kernel to run per chunk).
+  bool AddToSelector(ChunkSelector* selector) const;
 
  private:
   ExprPtr predicate_;

@@ -7,6 +7,7 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "exec/zone_filter.h"
 #include "middleware/maintenance_batch.h"
 #include "sketch/reuse.h"
 #include "sketch/safety.h"
@@ -26,6 +27,15 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 std::function<bool(const Tuple&)> WherePredicate(const BoundUpdate& update) {
   return update.where ? ExprPredicate(update.where)
                       : [](const Tuple&) { return true; };
+}
+
+/// Zone-map pre-filter of an update's WHERE clause: chunks it rules out
+/// are kept without boxing a row (none when there is no WHERE).
+ChunkFilter WhereChunkFilter(const BoundUpdate& update) {
+  if (!update.where) return {};
+  return [where = update.where](const DataChunk& chunk) {
+    return ChunkMayMatch(*where, chunk);
+  };
 }
 
 /// The modified rows of an UPDATE statement (UPDATE = DELETE matching rows
@@ -634,7 +644,8 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
       // proceed on the published snapshots throughout.
       return db_->Insert(update.table, update.rows);
     case BoundUpdate::Kind::kDelete:
-      return db_->Delete(update.table, WherePredicate(update));
+      return db_->Delete(update.table, WherePredicate(update), SIZE_MAX,
+                         WhereChunkFilter(update));
     case BoundUpdate::Kind::kUpdate: {
       // UPDATE = DELETE matching rows + INSERT the modified rows, computed
       // and applied under ONE hold of the table's stripe so no other
@@ -649,8 +660,9 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
                            ComputeUpdatedRows(*db_, update, pred));
       uint64_t delete_version = db_->AllocateVersion();
       uint64_t insert_version = db_->AllocateVersion();
-      Status deleted =
-          db_->StageDelete(update.table, pred, delete_version).status();
+      Status deleted = db_->StageDelete(update.table, pred, delete_version,
+                                        SIZE_MAX, WhereChunkFilter(update))
+                           .status();
       Status inserted =
           deleted.ok()
               ? db_->StageInsert(update.table, modified, insert_version)
@@ -775,7 +787,7 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
     case BoundUpdate::Kind::kDelete:
       *staged_any = true;
       return db_->StageDelete(update.table, WherePredicate(update),
-                              task.version)
+                              task.version, SIZE_MAX, WhereChunkFilter(update))
           .status();
     case BoundUpdate::Kind::kUpdate: {
       auto pred = WherePredicate(update);
@@ -785,8 +797,10 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
       IMP_ASSIGN_OR_RETURN(std::vector<Tuple> modified,
                            ComputeUpdatedRows(*db_, update, pred));
       *staged_any = true;
-      IMP_RETURN_NOT_OK(
-          db_->StageDelete(update.table, pred, task.delete_version).status());
+      IMP_RETURN_NOT_OK(db_->StageDelete(update.table, pred,
+                                         task.delete_version, SIZE_MAX,
+                                         WhereChunkFilter(update))
+                            .status());
       return db_->StageInsert(update.table, modified, task.version);
     }
   }

@@ -55,33 +55,14 @@ void ColumnVector::BeginTyped(const Value& first) {
 void ColumnVector::AppendTyped(const Value& v) {
   nulls_.Resize(size_ + 1);
   switch (encoding_) {
-    case Encoding::kInt64: {
-      int64_t a = v.AsInt();
-      ints_.push_back(a);
-      if (!stats_valid_) {
-        imin_ = imax_ = a;
-        stats_valid_ = true;
-      } else {
-        if (a < imin_) imin_ = a;
-        if (imax_ < a) imax_ = a;
-      }
+    case Encoding::kInt64:
+      ints_.push_back(v.AsInt());
+      FoldInt(ints_.back());
       break;
-    }
-    case Encoding::kDouble: {
-      double a = v.AsDouble();
-      doubles_.push_back(a);
-      if (std::isnan(a)) {
-        has_nan_ = true;
-      } else if (!stats_valid_) {
-        dmin_ = dmax_ = a;
-        stats_valid_ = true;
-      } else {
-        // Strict < keeps the first of Compare-equal values.
-        if (a < dmin_) dmin_ = a;
-        if (dmax_ < a) dmax_ = a;
-      }
+    case Encoding::kDouble:
+      doubles_.push_back(v.AsDouble());
+      FoldDouble(doubles_.back());
       break;
-    }
     case Encoding::kDictString: {
       const std::string& s = v.AsString();
       auto it = dict_lookup_.find(s);
@@ -161,6 +142,31 @@ void ColumnVector::Append(const Value& v) {
     return;
   }
   AppendTyped(v);
+}
+
+void ColumnVector::AppendRun(const Tuple* rows, size_t n, size_t col) {
+  size_t i = 0;
+  while (i < n) {
+    // Typed loops: the per-cell path's nulls_.Resize(size_ + 1) only grows
+    // the word array when size_ crosses a word boundary, so resizing there
+    // (and fixing the bit count after the loop) reproduces its capacities.
+    const size_t begin = size_;
+    if (encoding_ == Encoding::kInt64) {
+      for (; i < n && rows[i][col].is_int(); ++i, ++size_) {
+        if ((size_ & 63) == 0) nulls_.Resize(size_ + 1);
+        ints_.push_back(rows[i][col].AsInt());
+        FoldInt(ints_.back());
+      }
+    } else if (encoding_ == Encoding::kDouble) {
+      for (; i < n && rows[i][col].is_double(); ++i, ++size_) {
+        if ((size_ & 63) == 0) nulls_.Resize(size_ + 1);
+        doubles_.push_back(rows[i][col].AsDouble());
+        FoldDouble(doubles_.back());
+      }
+    }
+    if (size_ != begin) nulls_.Resize(size_);
+    if (i < n) Append(rows[i++][col]);
+  }
 }
 
 Value ColumnVector::GetValue(size_t i) const {

@@ -30,6 +30,7 @@
 #ifndef IMP_STORAGE_COLUMN_VECTOR_H_
 #define IMP_STORAGE_COLUMN_VECTOR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -71,6 +72,14 @@ class ColumnVector {
   }
 
   void Append(const Value& v);
+
+  /// Append cell `col` of the `n` rows starting at `rows` — the run form of
+  /// Append, leaving exactly the state n Append calls would (payload,
+  /// capacities, null bitmap, zone accumulators, encoding transitions).
+  /// A run of non-NULL cells matching an int64 or double encoding takes one
+  /// hoisted typed loop; NULLs, type changes, strings, the boxed layout and
+  /// the first value of an untyped column take the per-cell Append.
+  void AppendRun(const Tuple* rows, size_t n, size_t col);
 
   /// Rebox cell `i` — the compatibility escape hatch. Exact: a typed
   /// encoding stores one value type, so the round trip is lossless.
@@ -140,6 +149,28 @@ class ColumnVector {
   /// non-NULL value; backfills payload slots for the NULL prefix.
   void BeginTyped(const Value& first);
   void AppendTyped(const Value& v);
+  /// Zone accumulator updates of one typed int64 / double cell.
+  void FoldInt(int64_t a) {
+    if (!stats_valid_) {
+      imin_ = imax_ = a;
+      stats_valid_ = true;
+    } else {
+      if (a < imin_) imin_ = a;
+      if (imax_ < a) imax_ = a;
+    }
+  }
+  void FoldDouble(double a) {
+    if (std::isnan(a)) {
+      has_nan_ = true;
+    } else if (!stats_valid_) {
+      dmin_ = dmax_ = a;
+      stats_valid_ = true;
+    } else {
+      // Strict < keeps the first of Compare-equal values.
+      if (a < dmin_) dmin_ = a;
+      if (dmax_ < a) dmax_ = a;
+    }
+  }
   /// Rebox every cell into the legacy layout (type-conflict fallback).
   void ConvertToBoxed();
   void ConvertDictToFlat();

@@ -81,7 +81,7 @@ Status Database::BulkLoad(const std::string& table,
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
   auto session = WriteSession(table);
-  for (const Tuple& row : rows) t->AppendRow(row);
+  t->AppendRows(rows);
   t->PublishSnapshot();
   return Status::OK();
 }
@@ -91,8 +91,8 @@ Status Database::StageInsert(const std::string& table,
                              uint64_t version) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
+  t->AppendRows(rows);
   for (const Tuple& row : rows) {
-    t->AppendRow(row);
     t->AppendDelta(DeltaRecord{row, /*mult=*/1, version});
   }
   return Status::OK();
@@ -100,10 +100,10 @@ Status Database::StageInsert(const std::string& table,
 
 Result<size_t> Database::StageDelete(
     const std::string& table, const std::function<bool(const Tuple&)>& pred,
-    uint64_t version, size_t limit) {
+    uint64_t version, size_t limit, const ChunkFilter& may_match) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  std::vector<Tuple> removed = t->DeleteWhereLimit(pred, limit);
+  std::vector<Tuple> removed = t->DeleteWhereLimit(pred, limit, may_match);
   size_t count = removed.size();
   for (Tuple& row : removed) {
     t->AppendDelta(DeltaRecord{std::move(row), /*mult=*/-1, version});
@@ -172,11 +172,11 @@ Result<uint64_t> Database::Insert(const std::string& table,
 
 Result<uint64_t> Database::Delete(
     const std::string& table, const std::function<bool(const Tuple&)>& pred,
-    size_t limit) {
+    size_t limit, const ChunkFilter& may_match) {
   if (!HasTable(table)) return Status::NotFound("no such table: " + table);
   auto session = WriteSession(table);
   uint64_t v = AllocateVersion();
-  Status staged = StageDelete(table, pred, v, limit).status();
+  Status staged = StageDelete(table, pred, v, limit, may_match).status();
   PublishVersion(table, v);
   IMP_RETURN_NOT_OK(staged);
   return v;

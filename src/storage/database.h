@@ -101,10 +101,12 @@ class Database {
                           const std::vector<Tuple>& rows);
 
   /// Delete rows matching `pred` as one statement (at most `limit` rows;
-  /// SIZE_MAX = no limit). Returns the new version.
+  /// SIZE_MAX = no limit). Returns the new version. `may_match` lets zone
+  /// maps skip chunks that cannot match (Table::DeleteWhereLimit).
   Result<uint64_t> Delete(const std::string& table,
                           const std::function<bool(const Tuple&)>& pred,
-                          size_t limit = SIZE_MAX);
+                          size_t limit = SIZE_MAX,
+                          const ChunkFilter& may_match = {});
 
   /// Highest allocated snapshot version (0 before any update). May exceed
   /// StableVersion() while asynchronous ingestion is in flight.
@@ -141,7 +143,8 @@ class Database {
   /// Returns the number of rows removed. Caller holds the table's stripe.
   Result<size_t> StageDelete(const std::string& table,
                              const std::function<bool(const Tuple&)>& pred,
-                             uint64_t version, size_t limit = SIZE_MAX);
+                             uint64_t version, size_t limit = SIZE_MAX,
+                             const ChunkFilter& may_match = {});
 
   /// Publish `table`'s staged state: make its staged delta records visible
   /// and swap in the next immutable TableSnapshot. Caller holds the

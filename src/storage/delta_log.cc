@@ -40,13 +40,10 @@ void DeltaLog::Publish() {
 
 void DeltaLog::Truncate(uint64_t version) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // Find the cut within the visible zone only; the staged tail (and any
-  // record above the truncation watermark) survives untouched.
-  LogView writer_view;
-  writer_view.segments = segments_;
-  writer_view.first_offset = first_offset_;
-  writer_view.count = visible_;
-  size_t cut = WindowBegin(writer_view, version);
+  // Find the cut within the visible zone only, on the live segment list;
+  // the staged tail (and any record above the truncation watermark)
+  // survives untouched.
+  size_t cut = FirstAfter(segments_, first_offset_, visible_, version);
   if (cut == 0) return;
   first_offset_ += cut;
   visible_ -= cut;
@@ -68,13 +65,16 @@ DeltaRecord DeltaLog::At(size_t i) const {
   return view->record(i);
 }
 
-size_t DeltaLog::WindowBegin(const LogView& view, uint64_t from_version) {
-  // Binary search over the non-decreasing version column: first visible
-  // index with version > from_version.
-  size_t lo = 0, hi = view.count;
+size_t DeltaLog::FirstAfter(
+    const std::vector<std::shared_ptr<Segment>>& segments,
+    size_t first_offset, size_t count, uint64_t from_version) {
+  // Binary search over the non-decreasing version column.
+  size_t lo = 0, hi = count;
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (view.record(mid).version > from_version) {
+    size_t g = first_offset + mid;
+    if (segments[g / kSegmentCapacity]->slots[g % kSegmentCapacity].version >
+        from_version) {
       hi = mid;
     } else {
       lo = mid + 1;

@@ -150,8 +150,16 @@ class DeltaLog {
     return std::atomic_load_explicit(&view_, std::memory_order_acquire);
   }
 
+  /// First index in [0, count) with version > from_version, over the
+  /// records `segments` hold from `first_offset` on.
+  static size_t FirstAfter(
+      const std::vector<std::shared_ptr<Segment>>& segments,
+      size_t first_offset, size_t count, uint64_t from_version);
   /// First visible index in `view` with version > from_version.
-  static size_t WindowBegin(const LogView& view, uint64_t from_version);
+  static size_t WindowBegin(const LogView& view, uint64_t from_version) {
+    return FirstAfter(view.segments, view.first_offset, view.count,
+                      from_version);
+  }
 
   /// Build + swap the view for the current writer state. Caller holds
   /// writer_mu_.

@@ -5,8 +5,9 @@
 
 namespace imp {
 
-void DataChunk::AppendRow(const Tuple& row) {
-  IMP_DCHECK(row.size() == columns_.size());
+void DataChunk::AppendRows(const Tuple* rows, size_t n) {
+  if (n == 0) return;
+  IMP_DCHECK(num_rows_ + n <= kDefaultCapacity);
   // Appends only ever hit writer-private chunks (a snapshot-shared tail is
   // cloned or sealed first), but a chunk can become private again after the
   // last pinned snapshot drops it — drop any shards it left behind.
@@ -17,8 +18,16 @@ void DataChunk::AppendRow(const Tuple& row) {
   }
   // The column vectors fold the zone-map min/max accumulators into the
   // same append — one columnar pass, no re-boxing.
-  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
-  ++num_rows_;
+  // Column at a time within blocks of rows small enough that the block's
+  // tuples stay cache-resident across the column passes.
+  constexpr size_t kBlock = 256;
+  for (size_t b = 0; b < n; b += kBlock) {
+    const size_t m = std::min(kBlock, n - b);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c].AppendRun(rows + b, m, c);
+    }
+  }
+  num_rows_ += n;
 }
 
 Tuple DataChunk::GetRow(size_t row) const {
@@ -332,30 +341,39 @@ Table::Table(std::string name, Schema schema, bool typed_columns)
       /*version=*/0, /*epoch=*/++snapshot_epoch_);
 }
 
-void Table::AppendRow(const Tuple& row) {
-  IMP_CHECK_MSG(row.size() == schema_.size(), name_.c_str());
-  if (chunks_.empty() || chunks_.back()->Full()) {
-    chunks_.push_back(
-        std::make_shared<DataChunk>(schema_.size(), typed_columns_));
-  } else if (chunks_.back().use_count() > 1) {
-    // The tail chunk is still referenced by a published snapshot, so it is
-    // physically immutable for pinned readers. Small tails are cloned
-    // (copy-on-write; the clone stays private until the next
-    // PublishSnapshot shares it again); a tail at or past the seal
-    // threshold is sealed instead — the append opens a fresh chunk. The
-    // threshold bounds a statement's publication overhead to one
-    // ≤kSealThreshold-row clone (per-statement publishing would otherwise
-    // re-clone an ever-growing tail, quadratic over a chunk's fill) while
-    // keeping every sealed chunk at least kSealThreshold rows full.
-    if (chunks_.back()->num_rows() >= DataChunk::kSealThreshold) {
+void Table::AppendRows(const Tuple* rows, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    IMP_CHECK_MSG(rows[i].size() == schema_.size(), name_.c_str());
+  }
+  for (size_t done = 0; done < n;) {
+    if (chunks_.empty() || chunks_.back()->Full()) {
       chunks_.push_back(
           std::make_shared<DataChunk>(schema_.size(), typed_columns_));
-    } else {
-      chunks_.back() = std::make_shared<DataChunk>(*chunks_.back());
+    } else if (chunks_.back().use_count() > 1) {
+      // The tail chunk is still referenced by a published snapshot, so it
+      // is physically immutable for pinned readers. Small tails are cloned
+      // (copy-on-write; the clone stays private until the next
+      // PublishSnapshot shares it again); a tail at or past the seal
+      // threshold is sealed instead — the append opens a fresh chunk. The
+      // threshold bounds a statement's publication overhead to one
+      // ≤kSealThreshold-row clone (per-statement publishing would
+      // otherwise re-clone an ever-growing tail, quadratic over a chunk's
+      // fill) while keeping every sealed chunk at least kSealThreshold
+      // rows full.
+      if (chunks_.back()->num_rows() >= DataChunk::kSealThreshold) {
+        chunks_.push_back(
+            std::make_shared<DataChunk>(schema_.size(), typed_columns_));
+      } else {
+        chunks_.back() = std::make_shared<DataChunk>(*chunks_.back());
+      }
     }
+    DataChunk& tail = *chunks_.back();
+    const size_t take =
+        std::min(n - done, DataChunk::kDefaultCapacity - tail.num_rows());
+    tail.AppendRows(rows + done, take);
+    done += take;
   }
-  chunks_.back()->AppendRow(row);
-  ++num_rows_;
+  num_rows_ += n;
 }
 
 std::vector<Tuple> Table::DeleteWhere(
@@ -364,29 +382,54 @@ std::vector<Tuple> Table::DeleteWhere(
 }
 
 std::vector<Tuple> Table::DeleteWhereLimit(
-    const std::function<bool(const Tuple&)>& pred, size_t limit) {
+    const std::function<bool(const Tuple&)>& pred, size_t limit,
+    const ChunkFilter& may_match) {
   std::vector<Tuple> removed;
   std::vector<std::shared_ptr<DataChunk>> kept;
-  size_t kept_rows = 0;
+  kept.reserve(chunks_.size());
+  // True while kept.back() was built by this call: survivors of the next
+  // touched chunk fill it before a fresh chunk is opened.
+  bool packing = false;
+  std::vector<Tuple> survivors;
   for (const auto& chunk : chunks_) {
+    if (removed.size() >= limit || (may_match && !may_match(*chunk))) {
+      kept.push_back(chunk);
+      packing = false;
+      continue;
+    }
+    const size_t removed_before = removed.size();
+    survivors.clear();
     for (size_t r = 0; r < chunk->num_rows(); ++r) {
       Tuple row = chunk->GetRow(r);
       if (removed.size() < limit && pred(row)) {
         removed.push_back(std::move(row));
-        continue;
+      } else {
+        survivors.push_back(std::move(row));
       }
-      if (kept.empty() || kept.back()->Full()) {
+    }
+    if (removed.size() == removed_before) {
+      kept.push_back(chunk);  // no match: carried forward as is
+      packing = false;
+      continue;
+    }
+    for (size_t done = 0; done < survivors.size();) {
+      if (!packing || kept.back()->Full()) {
         kept.push_back(
             std::make_shared<DataChunk>(schema_.size(), typed_columns_));
+        packing = true;
       }
-      kept.back()->AppendRow(row);
-      ++kept_rows;
+      DataChunk& tail = *kept.back();
+      const size_t take = std::min(survivors.size() - done,
+                                   DataChunk::kDefaultCapacity -
+                                       tail.num_rows());
+      tail.AppendRows(survivors.data() + done, take);
+      done += take;
     }
   }
-  // The rebuilt chunks replace the old ones wholesale; snapshots pinned by
-  // concurrent readers keep the old chunks alive until the last pin drops.
+  // Snapshots pinned by concurrent readers keep the replaced chunks alive
+  // until the last pin drops.
   chunks_ = std::move(kept);
-  num_rows_ = kept_rows;
+  num_rows_ -= removed.size();
   return removed;
 }
 

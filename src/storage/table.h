@@ -33,8 +33,8 @@
 //   Writers are serialized per table by the Database's write stripe (one
 //   mutex per table, never taken by readers). Appends copy-on-write the
 //   tail chunk when a published snapshot still shares it, so published
-//   chunk data is physically immutable; deletes rebuild the chunk list off
-//   to the side. PublishSnapshot() then swaps in a fresh snapshot whose
+//   chunk data is physically immutable; deletes rebuild the chunks that
+//   lose rows off to the side. PublishSnapshot() then swaps in a fresh snapshot whose
 //   epoch strictly increases — the monotonicity witness tests assert.
 #ifndef IMP_STORAGE_TABLE_H_
 #define IMP_STORAGE_TABLE_H_
@@ -103,7 +103,12 @@ class DataChunk {
   /// because the column received conflicting value types.
   size_t BoxedFallbackCells() const;
 
-  void AppendRow(const Tuple& row);
+  /// Append `n` rows column at a time (one shard-cache clear, one
+  /// ColumnVector::AppendRun per column); the chunk ends up exactly as
+  /// after n single-row appends. The caller keeps the chunk within
+  /// kDefaultCapacity.
+  void AppendRows(const Tuple* rows, size_t n);
+  void AppendRow(const Tuple& row) { AppendRows(&row, 1); }
   /// Value of column `col` in row `row` (bounds-checked in debug builds).
   /// Reboxes typed cells — by value; use column() for the unboxed payload.
   Value At(size_t row, size_t col) const {
@@ -166,6 +171,10 @@ class DataChunk {
 };
 
 class Table;
+
+/// Chunk-level pre-filter for deletes: false only when no row of the chunk
+/// can match the delete's predicate (a zone-map verdict); empty = unknown.
+using ChunkFilter = std::function<bool(const DataChunk&)>;
 
 /// Cumulative per-table index maintenance / probe counters. Snapshots are
 /// const on the read path, so the counters live on the Table and are
@@ -342,20 +351,31 @@ class Table {
     return chunks_;
   }
 
-  /// Append a row to the base data (does not touch the delta log; the
+  /// Append rows to the base data (does not touch the delta log; the
   /// Database wrapper records deltas with version stamps). Clones the tail
-  /// chunk first when a published snapshot still shares it.
-  void AppendRow(const Tuple& row);
+  /// chunk first when a published snapshot still shares it, then fills
+  /// chunk by chunk through DataChunk::AppendRows — the chunks are exactly
+  /// those a row-at-a-time append would write.
+  void AppendRows(const Tuple* rows, size_t n);
+  void AppendRows(const std::vector<Tuple>& rows) {
+    AppendRows(rows.data(), rows.size());
+  }
+  void AppendRow(const Tuple& row) { AppendRows(&row, 1); }
 
-  /// Remove all rows matching `pred`; returns the removed rows. Rebuilds
-  /// the chunk storage off to the side (delete is rare relative to scans
-  /// in the workloads); pinned snapshots keep the old chunks alive.
+  /// Remove all rows matching `pred`; returns the removed rows.
   std::vector<Tuple> DeleteWhere(
       const std::function<bool(const Tuple&)>& pred);
 
-  /// Remove up to `limit` arbitrary rows matching `pred`.
+  /// Remove the first `limit` rows (in row order) matching `pred`; returns
+  /// them. Only chunks that lose rows are rebuilt, off to the side: their
+  /// survivors are packed, in order, into fresh chunks. Every other chunk
+  /// stays the same shared pointer, zone map and cached index shards
+  /// included, so a delete costs the chunks it touches. `may_match`, when
+  /// given, skips chunks whose zone maps rule out a match before any of
+  /// their rows is boxed. Pinned snapshots keep the old chunks alive.
   std::vector<Tuple> DeleteWhereLimit(
-      const std::function<bool(const Tuple&)>& pred, size_t limit);
+      const std::function<bool(const Tuple&)>& pred, size_t limit,
+      const ChunkFilter& may_match = {});
 
   /// Invoke `fn` on every row of the WRITER's current state — including
   /// applied-but-unpublished statements (e.g. computing an UPDATE's

@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <random>
+#include <set>
 #include <thread>
 #include <unordered_map>
 
 #include "common/hash.h"
+#include "exec/zone_filter.h"
 #include "storage/database.h"
 
 namespace imp {
@@ -981,6 +984,252 @@ TEST(TableSnapshotTest, TypedCowTailAppendDuringConcurrentReads) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(db.GetTable("t")->NumRows(), 601u);
+}
+
+// ---- Run appends and chunk-granular deletes ---------------------------------
+
+// Cell identity that also holds for NaN (Value::operator== is false there).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_double()) {
+    double x = a.AsDouble(), y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+void ExpectSameColumn(const ColumnVector& a, const ColumnVector& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(a.encoding(), b.encoding()) << what;
+  EXPECT_EQ(a.fell_back(), b.fell_back()) << what;
+  EXPECT_EQ(a.has_nulls(), b.has_nulls()) << what;
+  EXPECT_EQ(a.nulls().num_bits(), b.nulls().num_bits()) << what;
+  EXPECT_TRUE(a.nulls() == b.nulls()) << what;
+  EXPECT_EQ(a.dict_size(), b.dict_size()) << what;
+  EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes()) << what;
+  Value amin, amax, bmin, bmax;
+  const bool avalid = a.MinMax(&amin, &amax);
+  ASSERT_EQ(avalid, b.MinMax(&bmin, &bmax)) << what;
+  if (avalid) {
+    EXPECT_TRUE(SameCell(amin, bmin)) << what;
+    EXPECT_TRUE(SameCell(amax, bmax)) << what;
+  }
+  EXPECT_EQ(a.AnyNaN(), b.AnyNaN()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.IsNull(i), b.IsNull(i)) << what << " row " << i;
+    ASSERT_TRUE(SameCell(a.GetValue(i), b.GetValue(i))) << what << " row " << i;
+  }
+}
+
+TEST(TableTest, AppendRowsLayoutEqualsRowAtATimeAppends) {
+  // Six columns: int with NULLs, double with NaN and NULLs, dictionary
+  // strings, strings that overflow the dictionary mid-chunk (flat), an int
+  // column that turns boxed at a double mid-chunk, and an all-NULL column.
+  Schema schema;
+  for (const char* name : {"i", "d", "ds", "fs", "mx", "nul"}) {
+    schema.AddColumn(name, ValueType::kInt);
+  }
+  std::mt19937 rng(2024);
+  auto pick = [&](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  const size_t n = 3 * DataChunk::kDefaultCapacity + 333;
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < n; ++r) {
+    Tuple t(6);
+    t[0] = pick(0, 9) == 0 ? Value::Null() : Value::Int(pick(-500, 500));
+    const int64_t dr = pick(0, 19);
+    t[1] = dr == 0   ? Value::Null()
+           : dr == 1 ? Value::Double(std::nan(""))
+                     : Value::Double(static_cast<double>(pick(-80, 80)) / 3);
+    t[2] = pick(0, 14) == 0 ? Value::Null()
+                            : Value::String("tag" + std::to_string(pick(0, 9)));
+    // Distinct per row past row 3000 of each chunk: the dictionary
+    // overflows into the flat layout mid-chunk.
+    t[3] = (r % DataChunk::kDefaultCapacity) < 3000
+               ? Value::String("k" + std::to_string(pick(0, 20)))
+               : Value::String("u" + std::to_string(r));
+    t[4] = (r == 2 * DataChunk::kDefaultCapacity + 77 || pick(0, 2999) == 0)
+               ? Value::Double(0.5)
+               : (pick(0, 29) == 0 ? Value::Null() : Value::Int(pick(0, 99)));
+    t[5] = Value::Null();
+    rows.push_back(std::move(t));
+  }
+  for (bool typed : {true, false}) {
+    Table row_wise("t", schema, typed);
+    Table run_wise("t", schema, typed);
+    // Random runs, with a publication after each (both tables at the same
+    // row positions) so the copy-on-write and seal paths run too.
+    for (size_t done = 0; done < n;) {
+      const size_t len = std::min<size_t>(n - done, 1 + rng() % 5000);
+      for (size_t i = done; i < done + len; ++i) row_wise.AppendRow(rows[i]);
+      run_wise.AppendRows(rows.data() + done, len);
+      done += len;
+      row_wise.PublishSnapshot();
+      run_wise.PublishSnapshot();
+    }
+    ASSERT_EQ(run_wise.NumRows(), n);
+    ASSERT_EQ(row_wise.chunks().size(), run_wise.chunks().size());
+    for (size_t c = 0; c < run_wise.chunks().size(); ++c) {
+      const DataChunk& a = *row_wise.chunks()[c];
+      const DataChunk& b = *run_wise.chunks()[c];
+      ASSERT_EQ(a.num_rows(), b.num_rows()) << "chunk " << c;
+      EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes()) << "chunk " << c;
+      for (size_t col = 0; col < schema.size(); ++col) {
+        ExpectSameColumn(a.column(col), b.column(col),
+                         std::string(typed ? "typed" : "boxed") + " chunk " +
+                             std::to_string(c) + " col " +
+                             std::to_string(col));
+      }
+    }
+    if (typed) {
+      // The profiles really produced every shape.
+      std::set<std::pair<size_t, ColumnVector::Encoding>> seen;
+      bool nan = false;
+      for (const auto& chunk : run_wise.chunks()) {
+        for (size_t col = 0; col < schema.size(); ++col) {
+          seen.emplace(col, chunk->column(col).encoding());
+        }
+        nan = nan || chunk->column(1).AnyNaN();
+      }
+      using E = ColumnVector::Encoding;
+      for (auto shape : {std::make_pair(size_t{0}, E::kInt64),
+                         std::make_pair(size_t{1}, E::kDouble),
+                         std::make_pair(size_t{2}, E::kDictString),
+                         std::make_pair(size_t{3}, E::kFlatString),
+                         std::make_pair(size_t{4}, E::kBoxed),
+                         std::make_pair(size_t{4}, E::kInt64),
+                         std::make_pair(size_t{5}, E::kUntyped)}) {
+        EXPECT_EQ(seen.count(shape), 1u) << "column " << shape.first;
+      }
+      EXPECT_TRUE(nan);
+    }
+  }
+}
+
+TEST(TableTest, DeleteInTheTailChunkLeavesOtherChunksShared) {
+  // Deleting rows that all sit in the tail chunk rebuilds that chunk only:
+  // every other chunk stays the same pointer, and a re-probe of the
+  // successor snapshot reuses their cached shards. With the zone-map
+  // pre-filter the predicate sees only the tail chunk's rows.
+  for (bool hinted : {false, true}) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+    const int64_t n = 3 * static_cast<int64_t>(DataChunk::kDefaultCapacity) + 500;
+    std::vector<Tuple> rows;
+    for (int64_t i = 0; i < n; ++i) rows.push_back(Row(i, i % 97));
+    ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+    const Table& table = *db.GetTable("t");
+    auto probe = [](const TableSnapshot& snap) {
+      ASSERT_FALSE(snap.IndexProbe(1, Value::Int(5)).empty());
+      ASSERT_FALSE(
+          snap.IndexRangeProbe(0, Value::Int(0), Value::Int(50)).empty());
+    };
+    auto s1 = table.Snapshot();
+    ASSERT_EQ(s1->chunks().size(), 4u);
+    probe(*s1);
+
+    const int64_t cut = n - 200;
+    ExprPtr where = MakeBinary(BinaryOp::kGe,
+                               MakeColumnRef(0, "id", ValueType::kInt),
+                               MakeLiteral(Value::Int(cut)));
+    size_t pred_calls = 0;
+    auto pred = [&](const Tuple& row) {
+      ++pred_calls;
+      return row[0].AsInt() >= cut;
+    };
+    ChunkFilter may_match;
+    if (hinted) {
+      may_match = [&](const DataChunk& chunk) {
+        return ChunkMayMatch(*where, chunk);
+      };
+    }
+    ASSERT_TRUE(db.Delete("t", pred, SIZE_MAX, may_match).ok());
+    EXPECT_EQ(pred_calls, hinted ? 500u : static_cast<size_t>(n));
+
+    auto s2 = table.Snapshot();
+    ASSERT_EQ(s2->num_rows(), static_cast<size_t>(cut));
+    ASSERT_EQ(s2->chunks().size(), 4u);
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(s1->chunks()[c], s2->chunks()[c]) << "chunk " << c;
+    }
+    EXPECT_NE(s1->chunks()[3], s2->chunks()[3]);
+    EXPECT_EQ(s2->chunks()[3]->num_rows(), 300u);
+
+    const uint64_t built = table.index_stats().shards_built.load();
+    const uint64_t reused = table.index_stats().shards_reused.load();
+    probe(*s2);
+    EXPECT_EQ(table.index_stats().shards_built.load() - built, 2u);
+    EXPECT_EQ(table.index_stats().shards_reused.load() - reused, 6u);
+    int64_t expect = 0;
+    s2->ForEachRow([&](const Tuple& row) {
+      EXPECT_EQ(row[0], Value::Int(expect));
+      ++expect;
+    });
+    EXPECT_EQ(expect, cut);
+  }
+}
+
+TEST(TableTest, RandomDeletesRebuildOnlyTouchedChunks) {
+  // Random deletes with random limits against a reference row list: the
+  // survivors and their order match, every chunk that lost no row is
+  // carried forward as the same pointer, and rebuilt chunks are packed.
+  std::mt19937 rng(99);
+  for (bool typed : {true, false}) {
+    Table t("t", TwoColSchema(), typed);
+    std::vector<Tuple> model;
+    int64_t next_id = 0;
+    for (int round = 0; round < 40; ++round) {
+      std::vector<Tuple> batch;
+      const size_t len = rng() % 3000;
+      for (size_t i = 0; i < len; ++i) {
+        batch.push_back(Row(next_id++, static_cast<int64_t>(rng() % 50)));
+      }
+      t.AppendRows(batch);
+      model.insert(model.end(), batch.begin(), batch.end());
+      t.PublishSnapshot();
+
+      const int64_t lo = static_cast<int64_t>(rng() % 50);
+      const int64_t hi = lo + static_cast<int64_t>(rng() % 4);
+      const size_t limit = rng() % 3 == 0 ? rng() % 40 : SIZE_MAX;
+      auto pred = [&](const Tuple& row) {
+        return row[1].AsInt() >= lo && row[1].AsInt() <= hi &&
+               row[0].AsInt() % 7 != 0;
+      };
+      std::vector<std::shared_ptr<DataChunk>> before = t.chunks();
+      std::vector<Tuple> removed = t.DeleteWhereLimit(pred, limit);
+
+      std::vector<Tuple> expect_removed, expect_kept;
+      for (Tuple& row : model) {
+        (expect_removed.size() < limit && pred(row) ? expect_removed
+                                                    : expect_kept)
+            .push_back(row);
+      }
+      model = std::move(expect_kept);
+      ASSERT_EQ(removed, expect_removed) << "round " << round;
+      std::vector<Tuple> rows;
+      t.ForEachRow([&](const Tuple& row) { rows.push_back(row); });
+      ASSERT_EQ(rows, model) << "round " << round;
+      ASSERT_EQ(t.NumRows(), model.size());
+
+      std::set<int64_t> gone;
+      for (const Tuple& row : removed) gone.insert(row[0].AsInt());
+      std::set<const DataChunk*> after;
+      for (const auto& chunk : t.chunks()) {
+        EXPECT_GT(chunk->num_rows(), 0u);
+        after.insert(chunk.get());
+      }
+      for (const auto& chunk : before) {
+        bool touched = false;
+        for (size_t r = 0; r < chunk->num_rows(); ++r) {
+          touched = touched || gone.count(chunk->At(r, 0).AsInt()) > 0;
+        }
+        EXPECT_EQ(after.count(chunk.get()), touched ? 0u : 1u)
+            << "round " << round;
+      }
+    }
+  }
 }
 
 }  // namespace
